@@ -7,7 +7,7 @@ vectorized over leading axes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -157,65 +157,3 @@ def cos_linear(a: np.ndarray) -> CylinderFunction:
 
     return CylinderFunction(value, gradient, hessian, active_dim=k, sup_norm=1.0,
                             label="cos")
-
-
-def product_pair(i: int = 0, j: int = 1) -> CylinderFunction:
-    """x_i * x_j for i != j."""
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return x[..., i] * x[..., j]
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros_like(x)
-        g[..., i] = x[..., j]
-        g[..., j] = x[..., i]
-        return g
-
-    def hessian(x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
-        h = np.zeros(x.shape + (n,))
-        h[..., i, j] = 1.0
-        h[..., j, i] = 1.0
-        return h
-
-    return CylinderFunction(value, gradient, hessian, active_dim=max(i, j) + 1,
-                            label=f"xi{i + 1}*xi{j + 1}")
-
-
-def finite_difference_function(f: Callable[[np.ndarray], np.ndarray], active_dim: int,
-                               step: float = 1e-4, sup_norm: Optional[float] = None,
-                               label: str = "fd") -> CylinderFunction:
-    """Wrap a plain callable with central finite-difference derivatives."""
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros_like(x)
-        for i in range(x.shape[-1]):
-            e = np.zeros(x.shape[-1])
-            e[i] = step
-            g[..., i] = (f(x + e) - f(x - e)) / (2.0 * step)
-        return g
-
-    def hessian(x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
-        h = np.zeros(x.shape + (n,))
-        f0 = f(x)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = step
-            h[..., i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / step ** 2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = step
-                hij = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej)
-                       + f(x - ei - ej)) / (4.0 * step ** 2)
-                h[..., i, j] = hij
-                h[..., j, i] = hij
-        return h
-
-    return CylinderFunction(lambda x: f(np.asarray(x, dtype=float)), gradient, hessian,
-                            active_dim=active_dim, sup_norm=sup_norm, label=label)

@@ -144,11 +144,6 @@ def conditional_expectation(base: ConvexWeight, n: int, xi: np.ndarray,
                            tail_constant=tail_constant).value(xi)
 
 
-def psi_gradient(trunc: TruncatedWeight, xi: np.ndarray) -> list[MCValue]:
-    """Componentwise tail-averaged gradient with standard errors."""
-    return trunc.gradient(xi)
-
-
 @dataclass(frozen=True)
 class BumpKernel:
     """Polynomial bump c * (1 - |eta|^2)^4 on the unit ball with a tensor
@@ -286,12 +281,6 @@ def tabulate_weight(inner: ConvexWeight, radius: float, mesh: float,
 
     return ConvexWeight(dim=d, eval=ev, subgrad=sg, grad_lip=inner.grad_lip,
                         label=f"tabulated({inner.label})")
-
-
-def truncated_generator_apply(weight: ConvexWeight, u, xi: np.ndarray) -> np.ndarray:
-    """Generator of the reduced dynamics applied to a cylindrical function."""
-    from .grid import apply_generator
-    return apply_generator(weight, u, xi)
 
 
 def perturbation_residual(v, full_weight: ConvexWeight, trunc_weight: ConvexWeight,

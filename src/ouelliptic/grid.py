@@ -5,13 +5,11 @@ Discretizes L u = Lap(u) - <grad(phi) + x, grad(u)> on [-R, R]^n
 differenced centrally wherever the cell Peclet number |b| h / 2 <= 1
 (which preserves the M-matrix structure and keeps the scheme second
 order on resolved grids) and falls back to first-order upwinding where
-it exceeds 1.  Pure 'upwind' and 'centered' variants are available for
-comparison runs.
+it exceeds 1.
 """
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,7 +20,6 @@ from .rng import substream, MISC_TAG
 from .weights import ConvexWeight
 
 _BOUNDARIES = ("reflecting", "absorbing")
-_DRIFT_SCHEMES = ("hybrid", "upwind", "centered")
 
 
 @dataclass(frozen=True)
@@ -31,7 +28,6 @@ class GridSpec:
     radius: float
     mesh: float
     boundary: str = "reflecting"
-    drift_scheme: str = "hybrid"
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -40,8 +36,6 @@ class GridSpec:
             raise ValueError("need 0 < mesh < radius")
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
-        if self.drift_scheme not in _DRIFT_SCHEMES:
-            raise ValueError(f"drift_scheme must be one of {_DRIFT_SCHEMES}")
 
     @property
     def half_cells(self) -> int:
@@ -128,21 +122,15 @@ def _assemble(weight: ConvexWeight, spec: GridSpec):
                  np.full(size, -1.0 / h ** 2)]
 
         bd = b[:, d]
-        if spec.drift_scheme == "centered":
-            centered = np.ones(size, dtype=bool)
-        elif spec.drift_scheme == "upwind":
-            centered = np.zeros(size, dtype=bool)
-        else:
-            centered = np.abs(bd) * h / 2.0 <= 1.0
+        c = np.abs(bd) * h / 2.0 <= 1.0
 
         # -b du: centered -> -b (u+ - u-)/(2h)
-        c = centered
         rows += [flat[c], flat[c]]
         cols += [kup[c], kdn[c]]
         vals += [-bd[c] / (2.0 * h), bd[c] / (2.0 * h)]
 
         # upwind: b>0 -> -b (u+ - u)/h ; b<0 -> -b (u - u-)/h
-        w = ~centered
+        w = ~c
         pos = w & (bd > 0)
         neg = w & (bd <= 0)
         rows += [flat[pos], flat[pos], flat[neg], flat[neg]]
@@ -290,34 +278,6 @@ def bernstein_monitor(slices: Sequence[GridSolution], margin_cells: int = 2) -> 
     return best
 
 
-def solution_to_csv(sol: GridSolution) -> str:
-    """CSV with one row per grid point: coordinates, value, gradient."""
-    pts = sol.spec.points()
-    vals = sol.values.ravel()
-    grad = sol.gradient.reshape(-1, sol.spec.dim)
-    buf = io.StringIO()
-    coords = ",".join(f"x{i + 1}" for i in range(sol.spec.dim))
-    grads = ",".join(f"g{i + 1}" for i in range(sol.spec.dim))
-    buf.write(f"{coords},value,{grads}\n")
-    for p, v, g in zip(pts, vals, grad):
-        row = ",".join(f"{c:.17g}" for c in p)
-        gro = ",".join(f"{c:.17g}" for c in g)
-        buf.write(f"{row},{v:.17g},{gro}\n")
-    return buf.getvalue()
-
-
-def solution_from_csv(text: str, spec: GridSpec) -> GridSolution:
-    """Rebuild a GridSolution from its CSV serialization."""
-    lines = [ln for ln in text.strip().splitlines()[1:] if ln]
-    data = np.array([[float(tok) for tok in ln.split(",")] for ln in lines])
-    d = spec.dim
-    shape = (spec.npoints,) * d
-    values = data[:, d].reshape(shape)
-    gradient = data[:, d + 1:d + 1 + d].reshape(shape + (d,))
-    return GridSolution(spec=spec, values=values, gradient=gradient,
-                        residual_norm=float("nan"))
-
-
 class GridFunction:
     """Interpolated view of a grid solution: value, gradient, Hessian.
 
@@ -374,8 +334,7 @@ class GridFunction:
         d = self.spec.dim
         out = np.zeros(x.shape[:-1] + (d, d))
         for (i, j), itp in self._hess.items():
-            out[..., i, j] = itp(x)
-            out[..., j, i] = itp(x)
+            out[..., i, j] = out[..., j, i] = itp(x)
         return out
 
     def hessian_diag(self, x):

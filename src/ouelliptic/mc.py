@@ -48,9 +48,22 @@ class MCValue:
     std_error: float
     paths_used: int
 
+    @classmethod
+    def of_paths(cls, per_path: np.ndarray, extra_error: float = 0.0) -> "MCValue":
+        """Sample mean of per-path values; its standard error plus extra_error."""
+        return cls(mean=float(per_path.mean()),
+                   std_error=float(per_path.std(ddof=1) / np.sqrt(per_path.size)
+                                   + extra_error),
+                   paths_used=per_path.size)
+
 
 def _drift(weight: ConvexWeight, x: np.ndarray) -> np.ndarray:
     return -(np.asarray(weight.subgrad(x)) + x)
+
+
+def _step_count(t: float, dt: float) -> int:
+    """Number of uniform steps of at most dt covering [0, t]."""
+    return max(1, int(np.ceil(t / dt - 1e-12))) if t > 0 else 0
 
 
 def _run_paths(weight: ConvexWeight, starts: np.ndarray, t_end: float,
@@ -64,7 +77,7 @@ def _run_paths(weight: ConvexWeight, starts: np.ndarray, t_end: float,
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     s_count, n = starts.shape
-    steps = max(1, int(np.ceil(t_end / cfg.dt - 1e-12))) if t_end > 0 else 0
+    steps = _step_count(t_end, cfg.dt)
     dt = t_end / steps if steps else 0.0
     snap = set(int(k) for k in snap_steps)
     chunk = max(1, min(cfg.paths, _STATE_BUDGET // max(1, s_count * n)))
@@ -91,22 +104,24 @@ def _run_paths(weight: ConvexWeight, starts: np.ndarray, t_end: float,
 
 def simulate_terminal(weight: ConvexWeight, xi0: np.ndarray, t: float,
                       cfg: DiffusionConfig) -> np.ndarray:
-    """Terminal points X_t of cfg.paths trajectories started at xi0."""
-    xi0 = np.asarray(xi0, dtype=float).reshape(1, -1)
+    """Terminal points X_t of cfg.paths trajectories.
+
+    xi0 is one start (n,), giving (paths, n), or a batch of starts (S, n)
+    advanced under shared per-path noise, giving (S, paths, n).
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    n = xi0.shape[1]
-    out = np.empty((cfg.paths, n))
-    steps = max(1, int(np.ceil(t / cfg.dt - 1e-12))) if t > 0 else 0
+    xi0 = np.asarray(xi0, dtype=float)
+    starts = np.atleast_2d(xi0)
+    out = np.empty((starts.shape[0], cfg.paths, starts.shape[1]))
+    steps = _step_count(t, cfg.dt)
 
     def grab(step, states, sl):
         if step == steps:
-            out[sl] = states[0]
+            out[:, sl] = states
 
-    _run_paths(weight, xi0, t, cfg, [steps] if steps else [], grab)
-    if steps == 0:
-        out[:] = xi0
-    return out
+    _run_paths(weight, starts, t, cfg, [steps], grab)
+    return out if xi0.ndim == 2 else out[0]
 
 
 def semigroup_apply(weight: ConvexWeight, f: Callable, t: float, xi: np.ndarray,
@@ -115,10 +130,7 @@ def semigroup_apply(weight: ConvexWeight, f: Callable, t: float, xi: np.ndarray,
     if not t > 0:
         raise ValueError("t must be positive")
     term = simulate_terminal(weight, xi, t, cfg)
-    vals = np.asarray(f(term), dtype=float)
-    return MCValue(mean=float(vals.mean()),
-                   std_error=float(vals.std(ddof=1) / np.sqrt(cfg.paths)),
-                   paths_used=cfg.paths)
+    return MCValue.of_paths(np.asarray(f(term), dtype=float))
 
 
 def semigroup_gradient(weight: ConvexWeight, f: Callable, t: float, xi: np.ndarray,
@@ -129,72 +141,9 @@ def semigroup_gradient(weight: ConvexWeight, f: Callable, t: float, xi: np.ndarr
     xi = np.asarray(xi, dtype=float).reshape(-1)
     n = xi.size
     starts = np.concatenate([xi + fd_step * np.eye(n), xi - fd_step * np.eye(n)])
-    steps = max(1, int(np.ceil(t / cfg.dt - 1e-12)))
-    diffs = np.empty((n, cfg.paths))
-
-    def grab(step, states, sl):
-        if step == steps:
-            vals = np.asarray(f(states), dtype=float)  # (2n, B)
-            diffs[:, sl] = (vals[:n] - vals[n:]) / (2.0 * fd_step)
-
-    _run_paths(weight, starts, t, cfg, [steps], grab)
-    return [MCValue(mean=float(diffs[i].mean()),
-                    std_error=float(diffs[i].std(ddof=1) / np.sqrt(cfg.paths)),
-                    paths_used=cfg.paths) for i in range(n)]
-
-
-def resolvent_nodes(lam: float, cfg: DiffusionConfig) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Quadrature grid for the Laplace transform of the semigroup.
-
-    Returns (step_indices, node_weights, dt_eff, total_steps).  Nodes are
-    geometrically spaced on [dt, t_hor] with t_hor = max(8/lam, cfg.t_max),
-    snapped to the step grid, with t = 0 prepended; the weights integrate
-    exp(-lam t) times the piecewise-linear interpolant of the integrand
-    exactly on each panel.
-    """
-    t_hor = max(8.0 / lam, cfg.t_max)
-    total = int(np.ceil(t_hor / cfg.dt - 1e-12))
-    dt_eff = t_hor / total
-    q = cfg.quad_nodes
-    raw = dt_eff * (t_hor / dt_eff) ** (np.arange(q) / (q - 1))
-    ks = np.unique(np.clip(np.round(raw / dt_eff).astype(int), 1, total))
-    ks = np.concatenate([[0], ks])
-    times = ks * dt_eff
-    w = np.zeros(times.size)
-    for i in range(times.size - 1):
-        t0, t1 = times[i], times[i + 1]
-        tau = t1 - t0
-        e0, e1 = np.exp(-lam * t0), np.exp(-lam * t1)
-        big_e = (e0 - e1) / lam
-        big_t = (t0 / lam + 1.0 / lam ** 2) * e0 - (t1 / lam + 1.0 / lam ** 2) * e1
-        w[i] += (t1 * big_e - big_t) / tau
-        w[i + 1] += (big_t - t0 * big_e) / tau
-    return ks, w, dt_eff, total
-
-
-def _resolvent_accumulate(weight, f, lam, starts, cfg):
-    """Per-path quadrature accumulators for R(lam) f at each start.
-
-    Returns (acc (S, paths), observed_sup) where acc[s, p] is the
-    exponentially weighted time integral of f along path p from start s.
-    """
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    ks, w, dt_eff, total = resolvent_nodes(lam, cfg)
-    weight_of = {int(k): w[i] for i, k in enumerate(ks)}
-    acc = np.zeros((starts.shape[0], cfg.paths))
-    sup_seen = [0.0]
-
-    def grab(step, states, sl):
-        if step in weight_of:
-            vals = np.asarray(f(states), dtype=float)
-            sup_seen[0] = max(sup_seen[0], float(np.max(np.abs(vals))))
-            acc[:, sl] += weight_of[step] * vals
-
-    t_hor = total * dt_eff
-    sub_cfg = DiffusionConfig(dt=dt_eff, paths=cfg.paths, seed=cfg.seed,
-                              t_max=t_hor, quad_nodes=cfg.quad_nodes)
-    _run_paths(weight, starts, t_hor, sub_cfg, list(weight_of.keys()), grab)
-    return acc, sup_seen[0], t_hor
+    vals = np.asarray(f(simulate_terminal(weight, starts, t, cfg)), dtype=float)
+    return [MCValue.of_paths((vals[i] - vals[n + i]) / (2.0 * fd_step))
+            for i in range(n)]
 
 
 def resolvent_apply(weight: ConvexWeight, f: Callable, lam: float, xi: np.ndarray,
@@ -207,15 +156,8 @@ def resolvent_apply(weight: ConvexWeight, f: Callable, lam: float, xi: np.ndarra
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
-    xi = np.asarray(xi, dtype=float).reshape(1, -1)
-    acc, sup_seen, t_hor = _resolvent_accumulate(weight, f, lam, xi, cfg)
-    sup_f = getattr(f, "sup_norm", None)
-    if sup_f is None:
-        sup_f = sup_seen
-    tail = sup_f * np.exp(-lam * t_hor) / lam
-    return MCValue(mean=float(acc[0].mean()),
-                   std_error=float(acc[0].std(ddof=1) / np.sqrt(cfg.paths) + tail),
-                   paths_used=cfg.paths)
+    acc, tails = resolvent_batch(weight, np.reshape(xi, (1, -1)), [f], [lam], cfg)
+    return MCValue.of_paths(acc[0][0][0], extra_error=tails[0][0])
 
 
 def resolvent_derivatives(weight: ConvexWeight, f: Callable, lam: float,
@@ -230,36 +172,54 @@ def resolvent_derivatives(weight: ConvexWeight, f: Callable, lam: float,
     xi = np.asarray(xi, dtype=float).reshape(-1)
     n = xi.size
     d = fd_step
+    e = d * np.eye(n)
     starts = [xi]
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = d
-        starts += [xi + e, xi - e]
+        starts += [xi + e[i], xi - e[i]]
     pair_at = {}
     for i in range(n):
         for j in range(i + 1, n):
-            ei, ej = np.zeros(n), np.zeros(n)
-            ei[i] = d
-            ej[j] = d
             pair_at[(i, j)] = len(starts)
-            starts += [xi + ei + ej, xi + ei - ej, xi - ei + ej, xi - ei - ej]
-    acc, _, _ = _resolvent_accumulate(weight, f, lam, np.array(starts), cfg)
+            starts += [xi + e[i] + e[j], xi + e[i] - e[j],
+                       xi - e[i] + e[j], xi - e[i] - e[j]]
+    acc = resolvent_batch(weight, np.array(starts), [f], [lam], cfg)[0][0][0]
 
-    def mcv(per_path):
-        return MCValue(mean=float(per_path.mean()),
-                       std_error=float(per_path.std(ddof=1) / np.sqrt(cfg.paths)),
-                       paths_used=cfg.paths)
-
-    grad = [mcv((acc[1 + 2 * i] - acc[2 + 2 * i]) / (2.0 * d)) for i in range(n)]
+    grad = [MCValue.of_paths((acc[1 + 2 * i] - acc[2 + 2 * i]) / (2.0 * d))
+            for i in range(n)]
     hess = np.empty((n, n), dtype=object)
     for i in range(n):
-        hess[i, i] = mcv((acc[1 + 2 * i] - 2.0 * acc[0] + acc[2 + 2 * i]) / d ** 2)
+        hess[i, i] = MCValue.of_paths(
+            (acc[1 + 2 * i] - 2.0 * acc[0] + acc[2 + 2 * i]) / d ** 2)
         for j in range(i + 1, n):
             k = pair_at[(i, j)]
-            val = mcv((acc[k] - acc[k + 1] - acc[k + 2] + acc[k + 3]) / (4.0 * d ** 2))
-            hess[i, j] = val
-            hess[j, i] = val
+            hess[i, j] = hess[j, i] = MCValue.of_paths(
+                (acc[k] - acc[k + 1] - acc[k + 2] + acc[k + 3]) / (4.0 * d ** 2))
     return grad, hess
+
+
+def _laplace_nodes(lam: float, k_hor: int, dt_eff: float, q: int) -> dict[int, float]:
+    """Quadrature for int_0^{k_hor dt_eff} e^{-lam t} g(t) dt on the step grid.
+
+    Returns {step index: weight}.  About q nodes are geometrically spaced
+    on [dt_eff, k_hor dt_eff], snapped to the step grid, with t = 0
+    prepended; the weights integrate exp(-lam t) times the piecewise-linear
+    interpolant of g exactly on each panel.
+    """
+    # kept as k_hor * dt_eff / dt_eff: its roundoff fixes where nodes snap
+    raw = dt_eff * (k_hor * dt_eff / dt_eff) ** (np.arange(q) / (q - 1))
+    ks = np.unique(np.clip(np.round(raw / dt_eff).astype(int), 1, k_hor))
+    ks = np.concatenate([[0], ks])
+    times = ks * dt_eff
+    w = np.zeros(times.size)
+    for i in range(times.size - 1):
+        t0, t1 = times[i], times[i + 1]
+        tau = t1 - t0
+        e0, e1 = np.exp(-lam * t0), np.exp(-lam * t1)
+        big_e = (e0 - e1) / lam
+        big_t = (t0 / lam + 1.0 / lam ** 2) * e0 - (t1 / lam + 1.0 / lam ** 2) * e1
+        w[i] += (t1 * big_e - big_t) / tau
+        w[i + 1] += (big_t - t0 * big_e) / tau
+    return {int(k): w[i] for i, k in enumerate(ks)}
 
 
 def resolvent_batch(weight: ConvexWeight, starts: np.ndarray, fs: Sequence[Callable],
@@ -267,33 +227,20 @@ def resolvent_batch(weight: ConvexWeight, starts: np.ndarray, fs: Sequence[Calla
     """Per-path resolvent accumulators for many (lam, f) pairs at once.
 
     One trajectory ensemble serves every pair: each lam gets its own node
-    set and weights on a shared step grid reaching the largest horizon.
-    Returns (acc, tails) with acc[i_lam][i_f] of shape (S, paths) and
-    tails[i_lam][i_f] the analytic bound on the truncated time integral.
+    set and weights on a shared step grid reaching the largest horizon
+    max(8/lam, cfg.t_max).  Returns (acc, tails) with acc[i_lam][i_f] of
+    shape (S, paths) and tails[i_lam][i_f] the analytic bound on the
+    truncated time integral.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     t_hor_max = max(max(8.0 / lam, cfg.t_max) for lam in lams)
-    total = int(np.ceil(t_hor_max / cfg.dt - 1e-12))
+    total = _step_count(t_hor_max, cfg.dt)
     dt_eff = t_hor_max / total
     plans = []
     all_steps = set()
     for lam in lams:
-        t_hor = max(8.0 / lam, cfg.t_max)
-        k_hor = int(np.round(t_hor / dt_eff))
-        raw = dt_eff * (k_hor * dt_eff / dt_eff) ** (np.arange(cfg.quad_nodes) / (cfg.quad_nodes - 1))
-        ks = np.unique(np.clip(np.round(raw / dt_eff).astype(int), 1, k_hor))
-        ks = np.concatenate([[0], ks])
-        times = ks * dt_eff
-        w = np.zeros(times.size)
-        for i in range(times.size - 1):
-            t0, t1 = times[i], times[i + 1]
-            tau = t1 - t0
-            e0, e1 = np.exp(-lam * t0), np.exp(-lam * t1)
-            big_e = (e0 - e1) / lam
-            big_t = (t0 / lam + 1.0 / lam ** 2) * e0 - (t1 / lam + 1.0 / lam ** 2) * e1
-            w[i] += (t1 * big_e - big_t) / tau
-            w[i + 1] += (big_t - t0 * big_e) / tau
-        weight_of = {int(k): w[i] for i, k in enumerate(ks)}
+        k_hor = int(np.round(max(8.0 / lam, cfg.t_max) / dt_eff))
+        weight_of = _laplace_nodes(lam, k_hor, dt_eff, cfg.quad_nodes)
         plans.append((lam, weight_of, k_hor * dt_eff))
         all_steps |= set(weight_of.keys())
     acc = [[np.zeros((starts.shape[0], cfg.paths)) for _ in fs] for _ in lams]

@@ -49,7 +49,7 @@ def test_psi_gradient_energy_exact():
     lam = wiener.WienerBasis(64).lam
     tw = galerkin.TruncatedWeight(base, 3, samples=200)
     xi = np.array([0.5, -1.2, 2.0])
-    grads = galerkin.psi_gradient(tw, xi)
+    grads = tw.gradient(xi)
     for i, g in enumerate(grads):
         assert g.mean == pytest.approx(2.0 * lam[i] * xi[i], rel=1e-12, abs=1e-15)
         # identically distributed samples, so only cancellation noise remains
@@ -166,14 +166,14 @@ def test_truncated_generator_values():
     w = wiener.energy_convex_weight(4)
     xi = np.array([0.7, -0.3, 0.0, 0.0])
     v1 = cylinder.coordinate(0)
-    got = galerkin.truncated_generator_apply(w, v1, xi)
+    got = grid.apply_generator(w, v1, xi)
     assert got == pytest.approx(-(2.0 * lam[0] * 0.7 + 0.7), rel=1e-12)
     sq = cylinder.from_scalar(lambda t: t * t, lambda t: 2 * t,
                               lambda t: np.full_like(t, 2.0))
-    got = galerkin.truncated_generator_apply(w, sq, xi)
+    got = grid.apply_generator(w, sq, xi)
     want = 2.0 - (2.0 * lam[0] * 0.7 + 0.7) * 2.0 * 0.7
     assert got == pytest.approx(want, rel=1e-12)
-    assert galerkin.truncated_generator_apply(w, cylinder.constant(5.0), xi) == 0.0
+    assert grid.apply_generator(w, cylinder.constant(5.0), xi) == 0.0
 
 
 def test_perturbation_residual_constant_solution():

@@ -1,5 +1,5 @@
 """Grid oracle checks: generator formula, elliptic/parabolic solves,
-monitors, serialization."""
+monitors."""
 import numpy as np
 import pytest
 
@@ -210,16 +210,6 @@ def test_bernstein_requires_times():
     sol = grid.solve_elliptic_grid(zero_weight(1), cylinder.constant(1.0).value, 1.0, spec)
     with pytest.raises(ValueError):
         grid.bernstein_monitor([sol])
-
-
-def test_csv_round_trip():
-    for dim in (1, 2):
-        spec = grid.GridSpec(dim=dim, radius=2.0, mesh=0.5)
-        f = cylinder.cos_linear(np.ones(dim))
-        sol = grid.solve_elliptic_grid(zero_weight(dim), f.value, 1.0, spec)
-        back = grid.solution_from_csv(grid.solution_to_csv(sol), spec)
-        assert np.array_equal(back.values, sol.values)
-        assert np.array_equal(back.gradient, sol.gradient)
 
 
 def test_grid_function_matches_nodes():

@@ -4,7 +4,7 @@ import pytest
 
 from ouelliptic import mc
 from ouelliptic.cylinder import smoothed_indicator
-from ouelliptic.weights import quadratic_weight, zero_weight
+from ouelliptic.weights import diagonal_quadratic_weight, quadratic_weight, zero_weight
 
 CFG_FAST = mc.DiffusionConfig(dt=5e-3, paths=2000, seed=5)
 CFG_MID = mc.DiffusionConfig(dt=1e-3, paths=10000, seed=5)
@@ -214,16 +214,18 @@ def test_resolvent_gradient_bound_tanh():
     assert abs(grad[0].mean) <= np.sqrt(np.pi) + 3 * grad[0].std_error + 1e-2
 
 
-def test_resolvent_batch_matches_single():
-    f = mc.MehlerFunction(kind="linear", a=np.array([1.0]))
-    cfg = mc.DiffusionConfig(dt=4e-3, paths=4000, seed=5)
-    xi = np.array([2.0])
-    acc, tails = mc.resolvent_batch(zero_weight(1), xi, [f], [1.0], cfg)
-    batch_mean = float(acc[0][0][0].mean())
-    single = mc.resolvent_apply(zero_weight(1), f, 1.0, xi, cfg)
-    tol = 3 * (single.std_error + float(acc[0][0][0].std(ddof=1)) / np.sqrt(cfg.paths)) \
-        + tails[0][0] + 1e-2
-    assert abs(batch_mean - single.mean) <= tol
+def test_resolvent_batch_shares_ensemble_across_lambdas():
+    # each lam of a batch sees exactly the paths and weights of a lone call
+    w = diagonal_quadratic_weight(np.full(2, 0.5))
+    f = mc.MehlerFunction(kind="cosine", a=np.array([1.0, 1.0]) / np.sqrt(2))
+    starts = np.array([[0.0, 0.0], [0.8, -0.5]])
+    cfg = mc.DiffusionConfig(dt=4e-3, paths=500, seed=5)
+    lams = [0.5, 1.0, 2.0]
+    acc, tails = mc.resolvent_batch(w, starts, [f], lams, cfg)
+    for i, lam in enumerate(lams):
+        one_acc, one_tails = mc.resolvent_batch(w, starts, [f], [lam], cfg)
+        assert np.array_equal(acc[i][0], one_acc[0][0])
+        assert np.array_equal(tails[i][0], one_tails[0][0])
 
 
 def test_cross_validation_grid_vs_mc():
