@@ -6,6 +6,11 @@ differenced centrally wherever the cell Peclet number |b| h / 2 <= 1
 (which preserves the M-matrix structure and keeps the scheme second
 order on resolved grids) and falls back to first-order upwinding where
 it exceeds 1.
+
+Boundaries are reflecting: out-of-range neighbours are mirrored back
+into the box, so every row of the discrete -L sums to zero and constants
+are solutions.  One factorisation of lam*I - L serves every right-hand
+side at a given lam.
 """
 from __future__ import annotations
 
@@ -19,23 +24,17 @@ import scipy.sparse.linalg as spla
 from .rng import substream, MISC_TAG
 from .weights import ConvexWeight
 
-_BOUNDARIES = ("reflecting", "absorbing")
-
-
 @dataclass(frozen=True)
 class GridSpec:
     dim: int
     radius: float
     mesh: float
-    boundary: str = "reflecting"
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError("grid oracle supports dim 1 or 2")
         if not (self.mesh > 0 and self.radius > self.mesh):
             raise ValueError("need 0 < mesh < radius")
-        if self.boundary not in _BOUNDARIES:
-            raise ValueError(f"boundary must be one of {_BOUNDARIES}")
 
     @property
     def half_cells(self) -> int:
@@ -63,7 +62,6 @@ class GridSolution:
     spec: GridSpec
     values: np.ndarray                 # (N,) or (N, N)
     gradient: np.ndarray               # values.shape + (dim,)
-    residual_norm: float
     time: Optional[float] = None       # set for parabolic slices
 
     def interior_mask(self, margin_cells: int = 2) -> np.ndarray:
@@ -88,9 +86,10 @@ def _drift_field(weight: ConvexWeight, points: np.ndarray) -> np.ndarray:
     return -(np.atleast_2d(weight.subgrad(points)) + points)
 
 
-def _assemble(weight: ConvexWeight, spec: GridSpec):
-    """Sparse matrix K approximating -L on the grid (row sums zero for
-    reflecting boundaries, so constants are in its kernel)."""
+def assemble_operator(weight: ConvexWeight, spec: GridSpec):
+    """Sparse matrix K approximating -L on the grid (row sums zero, so
+    constants are in its kernel), reusable across lam and right-hand
+    sides."""
     n = spec.npoints
     h = spec.mesh
     pts = spec.points()
@@ -143,15 +142,6 @@ def _assemble(weight: ConvexWeight, spec: GridSpec):
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
 
-def _boundary_flat(spec: GridSpec) -> np.ndarray:
-    n = spec.npoints
-    if spec.dim == 1:
-        return np.array([0, n - 1])
-    flat = np.arange(n * n)
-    i, j = flat // n, flat % n
-    return flat[(i == 0) | (i == n - 1) | (j == 0) | (j == n - 1)]
-
-
 def _grid_gradient(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     h = spec.mesh
     if spec.dim == 1:
@@ -161,39 +151,28 @@ def _grid_gradient(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     return np.stack([gx, gy], axis=-1)
 
 
-def assemble_operator(weight: ConvexWeight, spec: GridSpec):
-    """Public handle on the discrete -L matrix, reusable across solves
-    with different lam and right-hand sides."""
-    return _assemble(weight, spec)
+def solve_elliptic_grid(weight: ConvexWeight, fs: Sequence[Callable],
+                        lam: float, spec: GridSpec,
+                        operator=None) -> list[GridSolution]:
+    """Solve lam*u - L u = f on the grid for every f in fs, returning one
+    solution (values and gradient) per f.
 
-
-def solve_elliptic_grid(weight: ConvexWeight, f: Callable, lam: float,
-                        spec: GridSpec, operator=None) -> GridSolution:
-    """Solve lam*u - L u = f on the grid, returning values and gradient.
-
-    Pass a precomputed assemble_operator(...) result as `operator` to skip
-    reassembly when solving for several lam or f with one weight.
+    All right-hand sides share one factorisation.  Pass a precomputed
+    assemble_operator(...) result as `operator` to skip reassembly when
+    solving for several lam with one weight.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
-    k = _assemble(weight, spec) if operator is None else operator
-    size = k.shape[0]
-    a = (sp.eye(size, format="csr") * lam + k).tolil()
+    k = assemble_operator(weight, spec) if operator is None else operator
+    a = sp.eye(k.shape[0], format="csr") * lam + k
     pts = spec.points()
-    rhs = np.asarray(f(pts), dtype=float).ravel()
-    if spec.boundary == "absorbing":
-        for kk in _boundary_flat(spec):
-            a.rows[kk] = [int(kk)]
-            a.data[kk] = [1.0]
-            rhs[kk] = rhs[kk] / lam
-    a = a.tocsr()
-    u = spla.spsolve(a, rhs)
-    residual = float(np.max(np.abs(a @ u - rhs)))
+    rhs = np.stack([np.asarray(f(pts), dtype=float).ravel() for f in fs], axis=1)
+    # spsolve returns 1-D for a single column
+    u = spla.spsolve(a, rhs).reshape(k.shape[0], -1)
     shape = (spec.npoints,) * spec.dim
-    values = u.reshape(shape)
-    return GridSolution(spec=spec, values=values,
-                        gradient=_grid_gradient(values, spec),
-                        residual_norm=residual)
+    return [GridSolution(spec=spec, values=col.reshape(shape),
+                         gradient=_grid_gradient(col.reshape(shape), spec))
+            for col in u.T]
 
 
 def solve_parabolic_grid(weight: ConvexWeight, f: Callable, horizon: float,
@@ -202,35 +181,18 @@ def solve_parabolic_grid(weight: ConvexWeight, f: Callable, horizon: float,
     if not (horizon > 0 and steps >= 1):
         raise ValueError("need horizon > 0 and steps >= 1")
     dt = horizon / steps
-    k = _assemble(weight, spec)
-    size = k.shape[0]
-    a = (sp.eye(size, format="csc") + dt * k)
-    if spec.boundary == "absorbing":
-        a = a.tolil()
-        for kk in _boundary_flat(spec):
-            a.rows[kk] = [int(kk)]
-            a.data[kk] = [1.0]
-        a = a.tocsc()
-    lu = spla.splu(a.tocsc())
-    pts = spec.points()
-    v = np.asarray(f(pts), dtype=float).ravel()
-    if spec.boundary == "absorbing":
-        v[_boundary_flat(spec)] = 0.0
+    k = assemble_operator(weight, spec)
+    lu = spla.splu((sp.eye(k.shape[0], format="csc") + dt * k).tocsc())
+    v = np.asarray(f(spec.points()), dtype=float).ravel()
     shape = (spec.npoints,) * spec.dim
-    out = [GridSolution(spec=spec, values=v.reshape(shape),
-                        gradient=_grid_gradient(v.reshape(shape), spec),
-                        residual_norm=0.0, time=0.0)]
-    for step in range(1, steps + 1):
-        rhs = v
-        if spec.boundary == "absorbing":
-            rhs = v.copy()
-            rhs[_boundary_flat(spec)] = 0.0
-        v = lu.solve(rhs)
-        res = float(np.max(np.abs(a @ v - rhs)))
+    out = []
+    for step in range(steps + 1):
+        if step:
+            v = lu.solve(v)
         vv = v.reshape(shape)
         out.append(GridSolution(spec=spec, values=vv,
                                 gradient=_grid_gradient(vv, spec),
-                                residual_norm=res, time=step * dt))
+                                time=step * dt))
     return out
 
 
@@ -300,7 +262,7 @@ class GridFunction:
             return RegularGridInterpolator(axes, arr, bounds_error=False, fill_value=None)
 
         self._value = interp(vals)
-        grads = [np.gradient(vals, h, axis=i) for i in range(d)]
+        grads = [sol.gradient[..., i] for i in range(d)]
         self._grad = [interp(g) for g in grads]
         self._hess = {}
         for i in range(d):
@@ -319,7 +281,7 @@ class GridFunction:
                     arr[tuple(sl_lo)] = arr[tuple(inner_lo)]
                     arr[tuple(sl_hi)] = arr[tuple(inner_hi)]
                 else:
-                    arr = np.gradient(np.gradient(vals, h, axis=i), h, axis=j)
+                    arr = np.gradient(grads[i], h, axis=j)
                 self._hess[(i, j)] = interp(arr)
 
     def value(self, x):

@@ -133,8 +133,14 @@ def make_weight(cfg: ExperimentConfig, n: int) -> ConvexWeight:
         if not diag.any():
             return zero_weight(n)
         return diagonal_quadratic_weight(diag, label=cfg.weight)
+    return _max_endpoint_weight(cfg, n,
+                                float(cfg.weight_params.get("epsilon", 0.25)))
+
+
+def _max_endpoint_weight(cfg: ExperimentConfig, n: int, eps: float) -> ConvexWeight:
+    """Truncated max-endpoint weight at dimension n, tabulated on the grid
+    box widened by eps and mollified at scale eps."""
     p = cfg.weight_params
-    eps = float(p.get("epsilon", 0.25))
     raw = wiener.max_endpoint_truncated(
         n, modes=int(p.get("modes", 256)),
         samples=int(p.get("tail_samples", 64)), seed=cfg.seed,
@@ -366,8 +372,9 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
     pvals = [(p, np.asarray(p(x), dtype=float), p.gradient(x)) for p in probes]
     rows = []
     for lam in cfg.lambdas:
-        for name, f in fs:
-            sol = grid.solve_elliptic_grid(w, f, lam, spec, operator=op)
+        sols = grid.solve_elliptic_grid(w, [f for _, f in fs], lam, spec,
+                                        operator=op)
+        for (name, f), sol in zip(fs, sols):
             v = grid.GridFunction(sol)
             uv = v.value(x)
             ug = v.gradient(x)
@@ -594,20 +601,12 @@ def ladder_table(cfg: ExperimentConfig) -> list:
     for n in [n for n in cfg.dims if n <= 2]:
         eps = 1.0 / n
         if cfg.weight == "max-endpoint":
-            raw = wiener.max_endpoint_truncated(
-                n, modes=m, samples=int(cfg.weight_params.get("tail_samples", 64)),
-                seed=cfg.seed,
-                time_points=int(cfg.weight_params.get("time_points", 256)))
-            inner = galerkin.tabulate_weight(
-                raw, cfg.grid_radius + eps + cfg.grid_mesh, cfg.grid_mesh)
+            w_eps = _max_endpoint_weight(cfg, n, eps)
         else:
-            diag = separable_diagonal(cfg, n)
-            inner = (zero_weight(n) if not diag.any()
-                     else diagonal_quadratic_weight(diag, label=cfg.weight))
-        w_eps = galerkin.mollify(inner, eps,
-                                 kernel=galerkin.BumpKernel.build(n))
+            w_eps = galerkin.mollify(make_weight(cfg, n), eps,
+                                     kernel=galerkin.BumpKernel.build(n))
         spec = grid.GridSpec(dim=n, radius=cfg.grid_radius, mesh=cfg.grid_mesh)
-        sol = grid.solve_elliptic_grid(w_eps, f, lam, spec)
+        [sol] = grid.solve_elliptic_grid(w_eps, [f], lam, spec)
         v = grid.GridFunction(sol)
         rng = substream(cfg.seed, NORM_TAG, 4, n)
         xm = rng.standard_normal((_LADDER_SAMPLES, m))

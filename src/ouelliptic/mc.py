@@ -154,8 +154,6 @@ def resolvent_apply(weight: ConvexWeight, f: Callable, lam: float, xi: np.ndarra
     declared sup_norm of f when available, else the largest |f| seen along
     the trajectories) and folded into the reported error.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
     acc, tails = resolvent_batch(weight, np.reshape(xi, (1, -1)), [f], [lam], cfg)
     return MCValue.of_paths(acc[0][0][0], extra_error=tails[0][0])
 
@@ -232,6 +230,8 @@ def resolvent_batch(weight: ConvexWeight, starts: np.ndarray, fs: Sequence[Calla
     shape (S, paths) and tails[i_lam][i_f] the analytic bound on the
     truncated time integral.
     """
+    if not all(lam > 0 for lam in lams):
+        raise ValueError("lam must be positive")
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     t_hor_max = max(max(8.0 / lam, cfg.t_max) for lam in lams)
     total = _step_count(t_hor_max, cfg.dt)

@@ -195,7 +195,7 @@ def test_criterion_06_resolvent_bounds_and_hermite_scaling():
     for k in (1, 2):
         fk = cylinder.hermite(k, coord=0)
         for lam in lams:
-            sol = grid.solve_elliptic_grid(zero_weight(1), fk, lam, spec)
+            [sol] = grid.solve_elliptic_grid(zero_weight(1), [fk], lam, spec)
             got = float(grid.GridFunction(sol).value(np.array([[1.5]]))[0])
             want = he_vals[k - 1] / (lam + k)
             rel = abs(got - want) / abs(want)
@@ -229,9 +229,9 @@ def test_criterion_07_grid_mc_cross_validation():
     t0 = time.time()
     w = diagonal_quadratic_weight(np.array([0.5]))
     f = mc.MehlerFunction(kind="cosine", a=np.array([1.0]))
-    sol = grid.solve_elliptic_grid(w, f, 1.0,
-                                   grid.GridSpec(dim=1, radius=6.0,
-                                                 mesh=1.0 / 64.0))
+    [sol] = grid.solve_elliptic_grid(w, [f], 1.0,
+                                     grid.GridSpec(dim=1, radius=6.0,
+                                                   mesh=1.0 / 64.0))
     u = grid.GridFunction(sol)
     pts = np.array([[-1.6], [-0.8], [0.0], [0.8], [1.6]])
     acc, _ = mc.resolvent_batch(w, pts, [f], [1.0],
@@ -376,9 +376,9 @@ def test_criterion_11_galerkin_ladder():
     tw = galerkin.TruncatedWeight(full16, 2, samples=200, seed=5)
     mol = galerkin.mollify(tw.as_convex_weight(), 0.5)
     f = cos_linear(np.array([1.0, 0.4]))
-    sol = grid.solve_elliptic_grid(mol, f.value, 1.0,
-                                   grid.GridSpec(dim=2, radius=6.0,
-                                                 mesh=1.0 / 16.0))
+    [sol] = grid.solve_elliptic_grid(mol, [f.value], 1.0,
+                                     grid.GridSpec(dim=2, radius=6.0,
+                                                   mesh=1.0 / 16.0))
     pts = np.random.default_rng(3).standard_normal((100, 16))
     pts[:, :2] = np.clip(pts[:, :2], -2.5, 2.5)
     resid = galerkin.perturbation_residual(grid.GridFunction(sol), full16,

@@ -195,7 +195,7 @@ def test_perturbation_residual_grid_solution():
     f = cylinder.cos_linear(np.array([1.0, 0.4]))
     lam = 1.0
     spec = grid.GridSpec(dim=2, radius=6.0, mesh=1 / 16)
-    sol = grid.solve_elliptic_grid(mol, f.value, lam, spec)
+    [sol] = grid.solve_elliptic_grid(mol, [f.value], lam, spec)
     v = grid.GridFunction(sol)
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((100, 16))

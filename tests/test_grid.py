@@ -57,13 +57,13 @@ def interior(spec, cut):
 
 def test_elliptic_constant_is_equilibrium():
     spec = grid.GridSpec(dim=1, radius=4.0, mesh=1 / 16)
-    sol = grid.solve_elliptic_grid(zero_weight(1), cylinder.constant(3.0).value, 2.0, spec)
+    [sol] = grid.solve_elliptic_grid(zero_weight(1), [cylinder.constant(3.0).value], 2.0, spec)
     assert np.max(np.abs(sol.values - 1.5)) < 1e-10
 
 
 def test_elliptic_coordinate_eigenfunction():
     spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 32)
-    sol = grid.solve_elliptic_grid(zero_weight(1), cylinder.coordinate(0).value, 1.0, spec)
+    [sol] = grid.solve_elliptic_grid(zero_weight(1), [cylinder.coordinate(0).value], 1.0, spec)
     pts = spec.points()[:, 0]
     mask = interior(spec, 3.0)
     assert np.max(np.abs(sol.values.ravel()[mask] - pts[mask] / 2.0)) < 5e-6
@@ -75,7 +75,7 @@ def test_elliptic_hermite_eigenfunctions_near_exact():
     spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 32)
     for k in (1, 2):
         he = cylinder.hermite(k)
-        sol = grid.solve_elliptic_grid(zero_weight(1), he.value, 1.0, spec)
+        [sol] = grid.solve_elliptic_grid(zero_weight(1), [he.value], 1.0, spec)
         mask = interior(spec, 3.0)
         exact = he.value(spec.points()) / (1.0 + k)
         assert np.max(np.abs(sol.values.ravel()[mask] - exact[mask])) < 5e-6
@@ -87,7 +87,7 @@ def test_elliptic_convergence_factor():
     errs = []
     for mesh in (1 / 16, 1 / 32, 1 / 64):
         spec = grid.GridSpec(dim=1, radius=6.0, mesh=mesh)
-        sol = grid.solve_elliptic_grid(zero_weight(1), he.value, 0.7, spec)
+        [sol] = grid.solve_elliptic_grid(zero_weight(1), [he.value], 0.7, spec)
         mask = interior(spec, 3.0)
         exact = he.value(spec.points()) / (0.7 + 3.0)
         errs.append(np.max(np.abs(sol.values.ravel()[mask] - exact[mask])))
@@ -98,7 +98,7 @@ def test_elliptic_convergence_factor():
 def test_elliptic_2d_eigenfunction():
     he = cylinder.hermite(2, coord=1)
     spec = grid.GridSpec(dim=2, radius=5.0, mesh=1 / 8)
-    sol = grid.solve_elliptic_grid(zero_weight(2), he.value, 1.0, spec)
+    [sol] = grid.solve_elliptic_grid(zero_weight(2), [he.value], 1.0, spec)
     mask = interior(spec, 2.5)
     exact = he.value(spec.points()) / 3.0
     assert np.max(np.abs(sol.values.ravel()[mask] - exact[mask])) < 2e-4
@@ -109,14 +109,14 @@ def test_elliptic_max_principle_family():
         f = cylinder.cos_linear(np.ones(dim) / np.sqrt(dim))
         for w in standard_family(dim):
             spec = grid.GridSpec(dim=dim, radius=4.0, mesh=1 / 8 if dim == 2 else 1 / 32)
-            sol = grid.solve_elliptic_grid(w, f.value, 0.7, spec)
+            [sol] = grid.solve_elliptic_grid(w, [f.value], 0.7, spec)
             assert np.max(np.abs(sol.values)) <= 1.0 / 0.7 + 1e-9, w.label
 
 
 def test_elliptic_gradient_bound():
     f = cylinder.tanh_coord()
     spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 32)
-    sol = grid.solve_elliptic_grid(zero_weight(1), f.value, 1.0, spec)
+    [sol] = grid.solve_elliptic_grid(zero_weight(1), [f.value], 1.0, spec)
     mask = interior(spec, 3.0)
     gmax = np.max(np.abs(sol.gradient.reshape(-1)[mask]))
     assert gmax <= np.sqrt(np.pi / 1.0) * 1.0 + 0.1
@@ -125,7 +125,7 @@ def test_elliptic_gradient_bound():
 def test_elliptic_rejects_bad_lambda():
     spec = grid.GridSpec(dim=1, radius=2.0, mesh=0.25)
     with pytest.raises(ValueError):
-        grid.solve_elliptic_grid(zero_weight(1), cylinder.constant(1.0).value, 0.0, spec)
+        grid.solve_elliptic_grid(zero_weight(1), [cylinder.constant(1.0).value], 0.0, spec)
 
 
 def test_grid_spec_validation():
@@ -133,16 +133,6 @@ def test_grid_spec_validation():
         grid.GridSpec(dim=3, radius=2.0, mesh=0.25)
     with pytest.raises(ValueError):
         grid.GridSpec(dim=1, radius=0.1, mesh=0.25)
-    with pytest.raises(ValueError):
-        grid.GridSpec(dim=1, radius=2.0, mesh=0.25, boundary="free")
-
-
-def test_absorbing_boundary_pins_values():
-    spec = grid.GridSpec(dim=1, radius=2.0, mesh=0.25, boundary="absorbing")
-    f = cylinder.constant(3.0)
-    sol = grid.solve_elliptic_grid(zero_weight(1), f.value, 2.0, spec)
-    assert sol.values.ravel()[0] == pytest.approx(1.5)
-    assert sol.values.ravel()[-1] == pytest.approx(1.5)
 
 
 def test_parabolic_constant_stays_constant():
@@ -207,7 +197,7 @@ def test_bernstein_tanh_bounded():
 
 def test_bernstein_requires_times():
     spec = grid.GridSpec(dim=1, radius=2.0, mesh=0.25)
-    sol = grid.solve_elliptic_grid(zero_weight(1), cylinder.constant(1.0).value, 1.0, spec)
+    [sol] = grid.solve_elliptic_grid(zero_weight(1), [cylinder.constant(1.0).value], 1.0, spec)
     with pytest.raises(ValueError):
         grid.bernstein_monitor([sol])
 
@@ -215,7 +205,7 @@ def test_bernstein_requires_times():
 def test_grid_function_matches_nodes():
     spec = grid.GridSpec(dim=1, radius=4.0, mesh=1 / 16)
     f = cylinder.tanh_coord()
-    sol = grid.solve_elliptic_grid(zero_weight(1), f.value, 1.0, spec)
+    [sol] = grid.solve_elliptic_grid(zero_weight(1), [f.value], 1.0, spec)
     u = grid.GridFunction(sol)
     pts = spec.points()
     mask = interior(spec, 2.0)
@@ -228,7 +218,7 @@ def test_grid_function_generator_identity():
     spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 64)
     f = cylinder.tanh_coord()
     lam = 1.0
-    sol = grid.solve_elliptic_grid(zero_weight(1), f.value, lam, spec)
+    [sol] = grid.solve_elliptic_grid(zero_weight(1), [f.value], lam, spec)
     u = grid.GridFunction(sol)
     xi = np.array([[0.3], [-0.7], [1.1]])
     lhs = grid.apply_generator(zero_weight(1), u, xi)
@@ -237,10 +227,19 @@ def test_grid_function_generator_identity():
 
 
 def test_operator_reuse_matches_fresh_solve():
-    spec = grid.GridSpec(dim=1, radius=4.0, mesh=1 / 16)
-    w = quadratic_weight(np.eye(1))
-    op = grid.assemble_operator(w, spec)
-    f = cylinder.cos_linear(np.array([1.0]))
-    a = grid.solve_elliptic_grid(w, f.value, 1.0, spec, operator=op)
-    b = grid.solve_elliptic_grid(w, f.value, 1.0, spec)
-    assert np.array_equal(a.values, b.values)
+    # one call with several right-hand sides, with or without a
+    # preassembled operator, equals one call per right-hand side
+    for spec in (grid.GridSpec(dim=1, radius=4.0, mesh=1 / 16),
+                 grid.GridSpec(dim=2, radius=3.0, mesh=1 / 4)):
+        d = spec.dim
+        w = quadratic_weight(np.eye(d))
+        op = grid.assemble_operator(w, spec)
+        fs = [cylinder.cos_linear(np.ones(d)).value, cylinder.tanh_coord().value,
+              cylinder.hermite(2, coord=d - 1).value]
+        singles = [grid.solve_elliptic_grid(w, [f], 1.0, spec)[0] for f in fs]
+        for operator in (op, None):
+            multi = grid.solve_elliptic_grid(w, fs, 1.0, spec, operator=operator)
+            assert len(multi) == len(fs)
+            for a, b in zip(multi, singles):
+                assert np.array_equal(a.values, b.values)
+                assert np.array_equal(a.gradient, b.gradient)

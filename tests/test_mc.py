@@ -184,8 +184,14 @@ def test_resolvent_sup_bound():
 
 def test_resolvent_rejects_bad_lambda():
     f = mc.MehlerFunction(kind="linear", a=np.array([1.0]))
-    with pytest.raises(ValueError):
-        mc.resolvent_apply(zero_weight(1), f, 0.0, np.array([0.0]), CFG_FAST)
+    w, x = zero_weight(1), np.array([0.0])
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            mc.resolvent_apply(w, f, lam, x, CFG_FAST)
+        with pytest.raises(ValueError, match="lam must be positive"):
+            mc.resolvent_batch(w, x[None, :], [f], [1.0, lam], CFG_FAST)
+        with pytest.raises(ValueError, match="lam must be positive"):
+            mc.resolvent_derivatives(w, f, lam, x, CFG_FAST)
 
 
 def test_resolvent_derivatives_linear():
@@ -235,7 +241,7 @@ def test_cross_validation_grid_vs_mc():
     lam = 1.0
     spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 32)
     fgrid = cylinder.cos_linear(np.array([1.0]))
-    sol = grid.solve_elliptic_grid(zero_weight(1), fgrid.value, lam, spec)
+    [sol] = grid.solve_elliptic_grid(zero_weight(1), [fgrid.value], lam, spec)
     u = grid.GridFunction(sol)
     cfg = mc.DiffusionConfig(dt=2e-3, paths=8000, seed=5)
     for xi in (0.0, 0.8, -1.2):
