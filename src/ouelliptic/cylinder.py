@@ -36,10 +36,6 @@ class CylinderFunction:
         return np.diagonal(h, axis1=-2, axis2=-1)
 
 
-def _zeros_like_points(x):
-    return np.zeros(np.shape(x)[:-1])
-
-
 def constant(c: float) -> CylinderFunction:
     return CylinderFunction(
         value=lambda x: np.full(np.shape(x)[:-1], float(c)),

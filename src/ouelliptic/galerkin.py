@@ -49,8 +49,6 @@ class TruncatedWeight:
         self.label = label or f"trunc[{n}]({base.label})"
         self.tails = substream(seed, TAIL_TAG, n, base.dim).standard_normal(
             (self.samples, base.dim - self.n))
-        self._value_memo: dict[bytes, MCValue] = {}
-        self._grad_memo: dict[bytes, list[MCValue]] = {}
 
     def _sample_chunks(self, batch: int):
         per = max(1, batch) * self.base.dim
@@ -91,32 +89,23 @@ class TruncatedWeight:
         return total / self.samples
 
     def value(self, xi: np.ndarray) -> MCValue:
-        xi = np.asarray(xi, dtype=float)
-        key = xi.tobytes()
-        if key not in self._value_memo:
-            mean, se = self.value_batch(xi[None, :])
-            self._value_memo[key] = MCValue(float(mean[0]), float(se[0]),
-                                            self.samples)
-        return self._value_memo[key]
+        mean, se = self.value_batch(np.asarray(xi, dtype=float)[None, :])
+        return MCValue(float(mean[0]), float(se[0]), self.samples)
 
     def gradient(self, xi: np.ndarray) -> list[MCValue]:
         xi = np.asarray(xi, dtype=float)
-        key = xi.tobytes()
-        if key not in self._grad_memo:
-            total = np.zeros(self.n)
-            total_sq = np.zeros(self.n)
-            for lo, hi in self._sample_chunks(1):
-                g = self.base.subgrad(self._full_points(xi[None, :], lo, hi))
-                g = g[0, :, :self.n]
-                total += g.sum(axis=0)
-                total_sq += (g * g).sum(axis=0)
-            s = self.samples
-            mean = total / s
-            var = np.maximum(total_sq / s - mean ** 2, 0.0) * s / (s - 1)
-            se = np.sqrt(var / s)
-            self._grad_memo[key] = [MCValue(float(m), float(e), s)
-                                    for m, e in zip(mean, se)]
-        return self._grad_memo[key]
+        total = np.zeros(self.n)
+        total_sq = np.zeros(self.n)
+        for lo, hi in self._sample_chunks(1):
+            g = self.base.subgrad(self._full_points(xi[None, :], lo, hi))
+            g = g[0, :, :self.n]
+            total += g.sum(axis=0)
+            total_sq += (g * g).sum(axis=0)
+        s = self.samples
+        mean = total / s
+        var = np.maximum(total_sq / s - mean ** 2, 0.0) * s / (s - 1)
+        se = np.sqrt(var / s)
+        return [MCValue(float(m), float(e), s) for m, e in zip(mean, se)]
 
     def as_convex_weight(self) -> ConvexWeight:
         """Deterministic n-dimensional view for the solvers."""

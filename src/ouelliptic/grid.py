@@ -241,68 +241,79 @@ def bernstein_monitor(slices: Sequence[GridSolution], margin_cells: int = 2) -> 
 
 
 class GridFunction:
-    """Interpolated view of a grid solution: value, gradient, Hessian.
+    """Piecewise-linear view of a grid solution: value, gradient, Hessian.
 
-    Derivative arrays are built with central differences on the grid and
-    then interpolated linearly, which keeps evaluations off the nodes
-    consistent with the discrete solution.
+    One table holds, per grid point, the value, the gradient columns and
+    the full Hessian (row-major), the derivatives taken by central
+    differences on the grid; one lookup interpolates every column at a
+    point set, multilinearly inside the box and by linear extrapolation
+    of the edge cells outside it.  The lookup reproduces
+    RegularGridInterpolator(..., fill_value=None) bit for bit.
     """
 
     def __init__(self, sol: GridSolution):
-        from scipy.interpolate import RegularGridInterpolator
-
         self.spec = sol.spec
-        ax = sol.spec.axis()
-        axes = (ax,) * sol.spec.dim
+        self._axis = sol.spec.axis()
         h = sol.spec.mesh
         d = sol.spec.dim
         vals = sol.values
-
-        def interp(arr):
-            return RegularGridInterpolator(axes, arr, bounds_error=False, fill_value=None)
-
-        self._value = interp(vals)
-        grads = [sol.gradient[..., i] for i in range(d)]
-        self._grad = [interp(g) for g in grads]
-        self._hess = {}
+        table = np.empty(vals.shape + (1 + d + d * d,))
+        table[..., 0] = vals
+        table[..., 1:1 + d] = sol.gradient
         for i in range(d):
-            for j in range(i, d):
-                if i == j:
-                    arr = (np.roll(vals, -1, axis=i) - 2 * vals + np.roll(vals, 1, axis=i)) / h ** 2
-                    # one-sided copies at the faces
-                    sl_lo = [slice(None)] * d
-                    sl_hi = [slice(None)] * d
-                    sl_lo[i] = 0
-                    sl_hi[i] = -1
-                    inner_lo = [slice(None)] * d
-                    inner_hi = [slice(None)] * d
-                    inner_lo[i] = 1
-                    inner_hi[i] = -2
-                    arr[tuple(sl_lo)] = arr[tuple(inner_lo)]
-                    arr[tuple(sl_hi)] = arr[tuple(inner_hi)]
-                else:
-                    arr = np.gradient(grads[i], h, axis=j)
-                self._hess[(i, j)] = interp(arr)
+            # second difference, copied one cell onto the faces
+            a = np.moveaxis(vals, i, 0)
+            dst = np.moveaxis(table[..., 1 + d + i * (d + 1)], i, 0)
+            dst[1:-1] = (a[2:] - 2 * a[1:-1] + a[:-2]) / h ** 2
+            dst[0] = dst[1]
+            dst[-1] = dst[-2]
+            for j in range(i + 1, d):
+                table[..., 1 + d + i * d + j] = table[..., 1 + d + j * d + i] = \
+                    np.gradient(sol.gradient[..., i], h, axis=j)
+        self._table = table.reshape(-1, table.shape[-1])
+
+    def _lookup(self, x: np.ndarray) -> np.ndarray:
+        """Interpolated table rows at points x (M, dim)."""
+        ax = self._axis
+        n = ax.size
+        cells, ts = [], []
+        for xk in x.T:
+            # cell with ax[i] <= x < ax[i+1], edge cells extended outwards
+            i = np.clip(np.floor((xk - ax[0]) / self.spec.mesh), 0, n - 2).astype(np.intp)
+            i -= (xk < ax[i]) & (i > 0)
+            i += (xk >= ax[i + 1]) & (i < n - 2)
+            cells.append(i)
+            ts.append(((xk - ax[i]) / (ax[i + 1] - ax[i]))[:, None])
+        t = self._table
+        if self.spec.dim == 1:
+            [i], [t0] = cells, ts
+            return t[i] * (1 - t0) + t[i + 1] * t0
+        (i0, i1), (t0, t1) = cells, ts
+        k = i0 * n + i1
+        s0, s1 = 1 - t0, 1 - t1
+        return (t[k] * s0 * s1 + t[k + 1] * s0 * t1
+                + t[k + n] * t0 * s1 + t[k + n + 1] * t0 * t1)
+
+    def jet(self, x):
+        """Value (...,), gradient (..., dim) and Hessian (..., dim, dim) at
+        points x (..., dim), from one lookup."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        d = self.spec.dim
+        lead = x.shape[:-1]
+        out = self._lookup(x.reshape(-1, d)).reshape(lead + (-1,))
+        return out[..., 0], out[..., 1:1 + d], out[..., 1 + d:].reshape(lead + (d, d))
 
     def value(self, x):
-        return self._value(np.atleast_2d(x))
+        return self.jet(x)[0]
 
     def gradient(self, x):
-        x = np.atleast_2d(x)
-        return np.stack([g(x) for g in self._grad], axis=-1)
+        return self.jet(x)[1]
 
     def hessian(self, x):
-        x = np.atleast_2d(x)
-        d = self.spec.dim
-        out = np.zeros(x.shape[:-1] + (d, d))
-        for (i, j), itp in self._hess.items():
-            out[..., i, j] = out[..., j, i] = itp(x)
-        return out
+        return self.jet(x)[2]
 
     def hessian_diag(self, x):
-        x = np.atleast_2d(x)
-        d = self.spec.dim
-        return np.stack([self._hess[(i, i)](x) for i in range(d)], axis=-1)
+        return np.diagonal(self.jet(x)[2], axis1=-2, axis2=-1)
 
     def __call__(self, x):
         return self.value(x)

@@ -326,38 +326,6 @@ def _mc_allowance(bound: float, lam: float, cfg: ExperimentConfig,
     return allow
 
 
-def weighted_norm(g, weight: ConvexWeight, n: int, order: int,
-                  samples: int = 200_000, seed: int = 0):
-    """L^2 norm of g, its gradient, or its Hessian under the normalized
-    weighted Gaussian e^{-psi} gamma_n.
-
-    order 0 integrates g^2, order 1 the squared Euclidean gradient norm,
-    order 2 the squared Hilbert-Schmidt norm of the Hessian; derivatives
-    must be exposed by g (analytic cylindrical functions or interpolated
-    grid solutions both qualify).  Self-normalized importance sampling
-    from the standard Gaussian supplies the estimate and standard error.
-    """
-    from .mc import MCValue
-
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    x = substream(seed, NORM_TAG, 5, n, order).standard_normal((samples, n))
-    logw = -np.asarray(weight.eval(x), dtype=float)
-    if order == 0:
-        val = np.asarray(g(x) if callable(g) else g.value(x), dtype=float)
-        sq = val * val
-    elif order == 1:
-        gr = np.asarray(g.gradient(x), dtype=float)
-        sq = np.sum(gr * gr, axis=-1)
-    else:
-        h = np.asarray(g.hessian(x), dtype=float)
-        sq = np.sum(h * h, axis=(-2, -1))
-    if not np.all(np.isfinite(sq)) or not np.all(np.isfinite(logw)):
-        raise ValueError("non-finite integrand in weighted norm")
-    norm, se = sn_norm(sq, logw)
-    return MCValue(norm, se, samples)
-
-
 # ---------------------------------------------------------------------------
 # grid route
 
@@ -375,10 +343,7 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
         sols = grid.solve_elliptic_grid(w, [f for _, f in fs], lam, spec,
                                         operator=op)
         for (name, f), sol in zip(fs, sols):
-            v = grid.GridFunction(sol)
-            uv = v.value(x)
-            ug = v.gradient(x)
-            uh = v.hessian(x)
+            uv, ug, uh = grid.GridFunction(sol).jet(x)
             fv = fvals[name]
             fsq = fv * fv
 
@@ -607,18 +572,16 @@ def ladder_table(cfg: ExperimentConfig) -> list:
                                      kernel=galerkin.BumpKernel.build(n))
         spec = grid.GridSpec(dim=n, radius=cfg.grid_radius, mesh=cfg.grid_mesh)
         [sol] = grid.solve_elliptic_grid(w_eps, [f], lam, spec)
-        v = grid.GridFunction(sol)
         rng = substream(cfg.seed, NORM_TAG, 4, n)
         xm = rng.standard_normal((_LADDER_SAMPLES, m))
         np.clip(xm[:, :n], -cfg.grid_radius + cfg.grid_mesh,
                 cfg.grid_radius - cfg.grid_mesh, out=xm[:, :n])
         logw = -np.asarray(full.eval(xm), dtype=float)
         xi = xm[:, :n]
-        val = np.asarray(v.value(xi), dtype=float)
-        gv = np.asarray(v.gradient(xi), dtype=float)
-        d2 = np.asarray(v.hessian_diag(xi), dtype=float)
+        val, gv, hv = grid.GridFunction(sol).jet(xi)
         g_full = np.asarray(full.subgrad(xm), dtype=float)[:, :n]
-        resid = (lam * val - (d2.sum(-1) - ((g_full + xi) * gv).sum(-1))
+        resid = (lam * val - (np.trace(hv, axis1=-2, axis2=-1)
+                              - ((g_full + xi) * gv).sum(-1))
                  - np.asarray(f(xi), dtype=float))
         norm, se = sn_norm(resid * resid, logw)
         out.append({"weight": cfg.weight, "n": n, "epsilon": eps,

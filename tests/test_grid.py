@@ -243,3 +243,65 @@ def test_operator_reuse_matches_fresh_solve():
             for a, b in zip(multi, singles):
                 assert np.array_equal(a.values, b.values)
                 assert np.array_equal(a.gradient, b.gradient)
+
+
+def test_grid_function_jet_matches_regular_grid_interpolator():
+    # one table lookup gives the same bits as scipy's linear interpolator
+    # on each field: on nodes and one ulp either side of them, on the
+    # clip planes +-(R - h), between nodes and outside the box, where
+    # the edge cells extrapolate
+    from scipy.interpolate import RegularGridInterpolator
+
+    for spec in (grid.GridSpec(dim=1, radius=3.0, mesh=0.1),
+                 grid.GridSpec(dim=2, radius=2.0, mesh=1 / 4)):
+        d, h, r = spec.dim, spec.mesh, spec.radius
+        w = quadratic_weight(np.eye(d))
+        f = cylinder.cos_linear(np.linspace(1.0, 0.5, d))
+        [sol] = grid.solve_elliptic_grid(w, [f.value], 1.0, spec)
+        u = grid.GridFunction(sol)
+
+        vals, ax = sol.values, spec.axis()
+        hess = [[None] * d for _ in range(d)]
+        for i in range(d):
+            a = (np.roll(vals, -1, axis=i) - 2 * vals + np.roll(vals, 1, axis=i)) / h ** 2
+            lo, hi = [slice(None)] * d, [slice(None)] * d
+            lo[i], hi[i] = 0, -1
+            a[tuple(lo)] = np.take(a, 1, axis=i)      # one-sided face copies
+            a[tuple(hi)] = np.take(a, -2, axis=i)
+            hess[i][i] = a
+            for j in range(i + 1, d):
+                hess[i][j] = hess[j][i] = np.gradient(sol.gradient[..., i], h, axis=j)
+
+        rng = np.random.default_rng(5)
+        on_plane = rng.uniform(-r, r, (40, d))
+        on_plane[:20, 0] = r - h
+        on_plane[20:, -1] = -(r - h)
+        nodes = spec.points()
+        pts = np.concatenate([
+            nodes, np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf),
+            np.full((1, d), r - h), np.full((1, d), -(r - h)), on_plane,
+            rng.uniform(-r, r, (200, d)),
+            rng.uniform(-2 * r, 2 * r, (200, d)),
+        ])
+        x = np.stack([pts, pts[::-1]])          # leading shape (2, M)
+
+        def rgi(arr):
+            return RegularGridInterpolator((ax,) * d, arr, bounds_error=False,
+                                           fill_value=None)(x)
+
+        val, grad, hs = u.jet(x)
+        assert val.shape == x.shape[:-1]
+        assert grad.shape == x.shape
+        assert hs.shape == x.shape + (d,)
+        assert np.array_equal(val, rgi(vals))
+        for i in range(d):
+            assert np.array_equal(grad[..., i], rgi(sol.gradient[..., i]))
+            for j in range(d):
+                assert np.array_equal(hs[..., i, j], rgi(hess[i][j]))
+        assert np.array_equal(u.value(x), val)
+        assert np.array_equal(u(x), val)
+        assert np.array_equal(u.gradient(x), grad)
+        assert np.array_equal(u.hessian(x), hs)
+        assert np.array_equal(u.hessian_diag(x),
+                              np.diagonal(hs, axis1=-2, axis2=-1))
+        assert np.array_equal(u.jet(pts)[0], val[0])

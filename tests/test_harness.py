@@ -8,11 +8,10 @@ import re
 import numpy as np
 import pytest
 
-from ouelliptic import cli, cylinder, harness, wiener
+from ouelliptic import cli, harness, wiener
 from ouelliptic.config import default_config, load_config
 from ouelliptic.harness import ConfigError, EstimateReport, ExperimentConfig, make_row
 from ouelliptic.mc import DiffusionConfig
-from ouelliptic.weights import diagonal_quadratic_weight, zero_weight
 
 
 TINY_INI = """[experiment]
@@ -237,43 +236,6 @@ def test_csv_float_format_round_trips():
                                         val, 0.0, 1.0)])
     est = rep.to_csv().splitlines()[1].split(",")[4]
     assert float(est) == val
-
-
-# ---------------------------------------------------------------------------
-# weighted norms
-
-
-def test_weighted_norm_gaussian_moments():
-    he1 = cylinder.hermite(1, coord=0)
-    w = zero_weight(1)
-    v = harness.weighted_norm(he1, w, 1, 0, samples=40_000, seed=3)
-    assert v.mean == pytest.approx(1.0, abs=3 * v.std_error + 0.01)
-
-    # constant integrands carry no sampling error
-    v = harness.weighted_norm(he1, w, 1, 1, samples=5_000, seed=3)
-    assert v.mean == pytest.approx(1.0, abs=1e-12)
-    assert v.std_error <= 1e-12
-
-    he2 = cylinder.hermite(2, coord=0)
-    v = harness.weighted_norm(he2, w, 1, 2, samples=5_000, seed=3)
-    assert v.mean == pytest.approx(2.0, abs=1e-12)
-
-
-def test_weighted_norm_reweights_measure():
-    # exp(-x^2/2) gamma is the centered Gaussian with variance 1/2
-    w = diagonal_quadratic_weight(np.array([0.5]))
-    v = harness.weighted_norm(cylinder.hermite(1, coord=0), w, 1, 0,
-                              samples=60_000, seed=2)
-    assert v.mean == pytest.approx(math.sqrt(0.5), abs=3 * v.std_error + 0.005)
-
-
-def test_weighted_norm_validation():
-    w = zero_weight(1)
-    with pytest.raises(ValueError, match="order"):
-        harness.weighted_norm(cylinder.constant(1.0), w, 1, 3, samples=2000)
-    with pytest.raises(ValueError, match="non-finite"):
-        harness.weighted_norm(lambda x: np.full(len(x), np.inf), w, 1, 0,
-                              samples=2000)
 
 
 # ---------------------------------------------------------------------------
