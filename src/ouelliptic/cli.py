@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: prox, semigroup, resolvent, wiener-demo, verify-estimates,
-verify-domain.  Common flags: --config, --seed, --out, --paths, --quiet.
+verify-domain.  Each takes --quiet and only the common flags it reads.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cylinder, harness, mc, proximal, wiener
+from . import harness, mc, proximal, wiener
 from .weights import (abs_weight, diagonal_quadratic_weight, huber_weight,
                       zero_weight)
 
@@ -32,11 +32,18 @@ def _demo_weight(name: str, dim: int):
     raise SystemExit(f"unknown weight {name!r}")
 
 
-def _common(sub):
-    sub.add_argument("--config", metavar="PATH", help="experiment config file")
-    sub.add_argument("--seed", type=int, help="master seed override")
-    sub.add_argument("--out", metavar="DIR", help="output directory override")
-    sub.add_argument("--paths", type=int, help="Monte Carlo path count override")
+_FLAGS = {"config": dict(metavar="PATH", help="experiment config file"),
+          "seed": dict(type=int, help="master seed override"),
+          "out": dict(metavar="DIR", help="output directory override"),
+          "paths": dict(type=int, help="Monte Carlo path count override")}
+
+
+def _subcommand(subs, name, run, text, *flags):
+    """A subcommand that calls run(args), with --quiet and the named _FLAGS."""
+    sub = subs.add_parser(name, help=text)
+    sub.set_defaults(run=run)
+    for flag in flags:
+        sub.add_argument(f"--{flag}", **_FLAGS[flag])
     sub.add_argument("--quiet", action="store_true", help="suppress summary text")
     return sub
 
@@ -120,48 +127,38 @@ def main(argv=None) -> int:
         description="Weighted Gaussian elliptic solver toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = _common(subs.add_parser("prox", help="proximal point of a demo weight"))
+    p = _subcommand(subs, "prox", _cmd_prox, "proximal point of a demo weight")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--point", type=float, nargs="+", default=[1.0])
     p.add_argument("--weight", choices=_DEMO_WEIGHTS, default="quadratic")
 
-    p = _common(subs.add_parser("semigroup", help="Monte Carlo T_t f"))
+    p = _subcommand(subs, "semigroup", _cmd_semigroup, "Monte Carlo T_t f",
+                    "seed", "paths")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--point", type=float, nargs="+", default=[1.0])
     p.add_argument("--weight", choices=_DEMO_WEIGHTS, default="zero")
     p.add_argument("--f", choices=harness.TEST_FUNCTION_NAMES, default="cos")
     p.add_argument("--dt", type=float, default=1e-2)
 
-    p = _common(subs.add_parser("resolvent", help="Monte Carlo (lam - L)^-1 f"))
+    p = _subcommand(subs, "resolvent", _cmd_resolvent,
+                    "Monte Carlo (lam - L)^-1 f", "seed", "paths")
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--point", type=float, nargs="+", default=[1.0])
     p.add_argument("--weight", choices=_DEMO_WEIGHTS, default="zero")
     p.add_argument("--f", choices=harness.TEST_FUNCTION_NAMES, default="cos")
     p.add_argument("--dt", type=float, default=1e-2)
 
-    p = _common(subs.add_parser("wiener-demo", help="KL path and weight demo"))
+    p = _subcommand(subs, "wiener-demo", _cmd_wiener_demo,
+                    "KL path and weight demo", "seed", "out")
     p.add_argument("--modes", type=int, default=64)
 
-    _common(subs.add_parser("verify-estimates",
-                            help="run the estimate verification suite"))
-    _common(subs.add_parser("verify-domain",
-                            help="run the domain-equivalence checks"))
+    _subcommand(subs, "verify-estimates", lambda a: _cmd_verify(a, "all"),
+                "run the estimate verification suite", *_FLAGS)
+    _subcommand(subs, "verify-domain", lambda a: _cmd_verify(a, "domain"),
+                "run the domain-equivalence checks", *_FLAGS)
 
     args = parser.parse_args(argv)
-    if args.command == "prox":
-        return _cmd_prox(args)
-    if args.command == "semigroup":
-        return _cmd_semigroup(args)
-    if args.command == "resolvent":
-        return _cmd_resolvent(args)
-    if args.command == "wiener-demo":
-        return _cmd_wiener_demo(args)
-    if args.command == "verify-estimates":
-        return _cmd_verify(args, "all")
-    if args.command == "verify-domain":
-        return _cmd_verify(args, "domain")
-    parser.error(f"unknown command {args.command}")
-    return 2
+    return args.run(args)
 
 
 if __name__ == "__main__":

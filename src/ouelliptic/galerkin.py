@@ -147,7 +147,6 @@ class BumpKernel:
     dim: int
     nodes: np.ndarray
     weights: np.ndarray
-    normalizer: float
 
     @classmethod
     def build(cls, dim: int, nodes_per_axis: int = 8) -> "BumpKernel":
@@ -168,12 +167,7 @@ class BumpKernel:
                   / (np.pi ** (dim / 2.0) * beta_fn(dim / 2.0, 5.0)))
         weights = wts * c * (1.0 - r2) ** 4
         weights = weights / weights.sum()
-        return cls(dim=dim, nodes=nodes, weights=weights, normalizer=c)
-
-    def density(self, eta: np.ndarray) -> np.ndarray:
-        eta = np.asarray(eta, dtype=float)
-        r2 = np.sum(eta * eta, axis=-1)
-        return np.where(r2 < 1.0, self.normalizer * (1.0 - r2) ** 4, 0.0)
+        return cls(dim=dim, nodes=nodes, weights=weights)
 
     @property
     def mass(self) -> float:

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from ouelliptic import cli, harness, wiener
+from ouelliptic import cli, galerkin, harness, wiener
 from ouelliptic.config import default_config, load_config
 from ouelliptic.harness import ConfigError, EstimateReport, ExperimentConfig, make_row
 from ouelliptic.mc import DiffusionConfig
@@ -186,6 +186,9 @@ def test_make_row_pass_rule():
     bad = make_row("zero", 1, 1.0, "L2_ratio", math.nan, math.inf, 1.0)
     assert not bad.passed
 
+    # an infinite standard error cannot carry a row past its bound
+    assert not make_row("zero", 1, 1.0, "grad_ratio", 0.0, math.inf, 1.0).passed
+
 
 def test_json_row_schema():
     r = make_row("energy", 2, 0.5, "grad_ratio", 0.3, 0.01, 1.0,
@@ -320,6 +323,21 @@ def test_mc_route_rows():
     assert by[("grad_ratio", "const")].estimate == pytest.approx(0.0, abs=1e-9)
     assert by[("hess_ratio", "const")].estimate == pytest.approx(0.0, abs=1e-6)
     assert by[("grad_ratio", "tanh")].allowance > 0.0
+
+
+def test_constant_derivative_rows_are_exact_zeros():
+    mc_cfg = small_cfg(dims=(3,), route="mc", test_functions=("const", "tanh"),
+                       mc=DiffusionConfig(dt=0.05, paths=200, seed=0))
+    grid_cfg = small_cfg(dims=(1,), test_functions=("const", "tanh"),
+                         grid_mesh=0.125, grid_radius=5.0)
+    for cfg in (mc_cfg, grid_cfg):
+        rows = harness.verify_main_estimates(cfg).rows
+        assert rows and all(math.isfinite(r.std_error) for r in rows)
+        flat = [r for r in rows if r.f_label == "const" and r.quantity in
+                ("grad_ratio", "hess_ratio", "grad_sup_ratio")]
+        assert len(flat) == 3
+        assert all(r.estimate == 0.0 and r.std_error == 0.0 and r.passed
+                   for r in flat)
 
 
 def test_failed_solve_becomes_failing_row():
@@ -483,6 +501,46 @@ def test_seed_override_changes_estimates(tiny_run):
         (out3 / "report.json").read_bytes()
 
 
+def test_each_weight_is_built_once_per_run(tmp_path, monkeypatch):
+    """Main and domain stages share the eps = 0.25 tables; the ladder adds
+    one at eps = 1/n per grid dim: four tabulations for dims 1 and 2."""
+    cfg = tmp_path / "mend.ini"
+    cfg.write_text("""[experiment]
+weight = max-endpoint
+dims = 1 2
+lambdas = 1
+test_functions = const tanh
+seed = 0
+route = grid
+
+[grid]
+radius = 3
+mesh = 0.25
+norm_samples = 2000
+
+[weight_params]
+modes = 16
+tail_samples = 4
+time_points = 32
+epsilon = 0.25
+""")
+    calls = []
+    tabulate = galerkin.tabulate_weight
+
+    def counting(inner, radius, mesh, *args, **kwargs):
+        calls.append((inner.dim, radius))
+        return tabulate(inner, radius, mesh, *args, **kwargs)
+
+    harness._max_endpoint_weight.cache_clear()
+    monkeypatch.setattr(galerkin, "tabulate_weight", counting)
+    code = harness.run_experiment(config_path=str(cfg), scope="all",
+                                  out=str(tmp_path / "run"), quiet=True)
+    harness._max_endpoint_weight.cache_clear()
+    assert code == 0
+    # tabulation radius is grid radius + eps + mesh; eps is 0.25 or 1/n
+    assert sorted(calls) == [(1, 3.5), (1, 4.25), (2, 3.5), (2, 3.75)]
+
+
 def test_narrow_domain_fails_honestly(tmp_path):
     cfg = tmp_path / "narrow.ini"
     cfg.write_text("""[experiment]
@@ -583,6 +641,13 @@ def test_cli_domain_scope(tmp_path):
     assert (out / "tables" / "estimates.csv").is_file()
     assert not (out / "tables" / "nslope.csv").exists()
     assert not (out / "tables" / "ladder.csv").exists()
+
+
+def test_cli_rejects_flags_a_subcommand_does_not_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["prox", "--config", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_cli_requires_subcommand():
