@@ -17,9 +17,10 @@ norm sums: graph = ||u|| + ||Lu||, W22 = ||u|| + ||Du|| + ||D2u||_HS.
 
 A row passes when estimate <= bound + 3*std_error + allowance, where the
 allowance covers deterministic discretization bias (mesh^2 for grid
-solves; Euler step and finite-difference steps for Monte Carlo solves)
-and is reported in the CSV tables.  Rows whose inequality is lambda-free
-carry lambda = 0.
+solves; time step and finite-difference steps for Monte Carlo solves,
+whose paths take the exact transition for linear drifts, Euler
+otherwise, and dt sets the observation grid) and is reported in the CSV
+tables.  Rows whose inequality is lambda-free carry lambda = 0.
 
 Solutions come from the finite-difference grid for n <= 2 and from
 Monte Carlo resolvents for larger n (configurable).  The Monte Carlo
@@ -50,7 +51,8 @@ WEIGHT_NAMES = ("zero", "quadratic", "energy", "max-endpoint")
 TEST_FUNCTION_NAMES = ("const", "tanh", "cos", "step")
 
 _FD_REL = 0.02          # residual relative error of Richardson stencils
-_EM_REL = 1.0           # Euler weak bias ~ dt * (1 + 1/lam) per unit bound
+_EM_REL = 1.0           # Euler weak bias ~ dt * (1 + 1/lam) per unit bound;
+                        # kept for exact paths until an oracle measures them
 _WEAK_COEF = 25.0       # weak-identity allowance in units of mesh^2
 _LADDER_SAMPLES = 20_000
 

@@ -3,11 +3,16 @@
 The diffusion dX = -(grad phi(X) + X) dt + sqrt(2) dW has the weighted
 operator as its generator; expectations of f(X_t) started at xi give the
 semigroup, and an exponentially weighted time quadrature along the same
-trajectories gives the resolvent.  Noise is drawn from counter-based
-per-path Philox streams keyed by (seed, path index), so results are
-bit-identical for a fixed (seed, config) regardless of chunking, thread
-count or evaluation order, and runs from shifted starting points reuse
-the same noise (common random numbers) for tight finite differences.
+trajectories gives the resolvent.  Paths take the exact transition for
+linear drifts, Euler otherwise; dt sets the observation grid.  A weight
+that declares ``linear_grad = g`` has the drift -kappa x with
+kappa = 1 + g, whose transition over any time is exactly Gaussian, so
+those paths carry no time-step bias.  Noise is drawn from counter-based
+per-path Philox streams keyed by (seed, path index), one normal per
+coordinate per step on either path, so results are bit-identical for a
+fixed (seed, config) regardless of chunking, thread count or evaluation
+order, and runs from shifted starting points reuse the same noise
+(common random numbers) for tight finite differences.
 """
 from __future__ import annotations
 
@@ -66,10 +71,26 @@ def _step_count(t: float, dt: float) -> int:
     return max(1, int(np.ceil(t / dt - 1e-12))) if t > 0 else 0
 
 
+def ou_transition(kappa: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact transition of dX = -kappa X dt + sqrt(2) dW over time tau.
+
+    Returns (e^{-kappa tau}, s) with X_tau = e^{-kappa tau} X_0 + s Z for a
+    standard normal Z, where s^2 = (1 - e^{-2 kappa tau}) / kappa.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    return np.exp(-kappa * tau), np.sqrt(-np.expm1(-2.0 * kappa * tau) / kappa)
+
+
 def _run_paths(weight: ConvexWeight, starts: np.ndarray, t_end: float,
                cfg: DiffusionConfig, snap_steps: Sequence[int],
                observer: Callable[[int, np.ndarray, slice], None]) -> None:
-    """Euler-Maruyama over [0, t_end] with uniform steps <= cfg.dt.
+    """Paths over [0, t_end] on the grid of uniform steps <= cfg.dt.
+
+    The exact transition for linear drifts, Euler otherwise; dt sets the
+    observation grid.  For a weight with linear_grad the start-independent
+    part N of X_t = e^{-kappa t} start + N_t is advanced step by step with
+    the exact one-step map, and states are built only at observation
+    steps; every other weight takes Euler-Maruyama steps on all states.
 
     starts: (S, n) initial points advanced jointly under shared per-path
     noise.  observer(step_index, states (S, B, n), path_slice) fires at
@@ -82,6 +103,12 @@ def _run_paths(weight: ConvexWeight, starts: np.ndarray, t_end: float,
     snap = set(int(k) for k in snap_steps)
     chunk = max(1, min(cfg.paths, _STATE_BUDGET // max(1, s_count * n)))
     sq = np.sqrt(2.0 * dt)
+    exact = weight.linear_grad is not None
+    if exact:
+        # coordinate-major (n, ...) arrays keep the inner loops of the
+        # state writes long; (S, B, n) broadcasts would run them over n
+        kappa = 1.0 + np.asarray(weight.linear_grad, dtype=float)[:, None]
+        decay, scale = ou_transition(kappa, dt)
 
     for p0 in range(0, cfg.paths, chunk):
         p1 = min(p0 + chunk, cfg.paths)
@@ -91,13 +118,24 @@ def _run_paths(weight: ConvexWeight, starts: np.ndarray, t_end: float,
         if steps == 0:
             continue
         gens = [path_stream(cfg.seed, p) for p in range(p0, p1)]
+        noise_part = np.zeros((n, b))
         done = 0
         while done < steps:
             blk = min(_NOISE_BLOCK, steps - done)
             noise = np.stack([g.standard_normal((blk, n)) for g in gens], axis=0)
+            if exact:
+                noise = np.ascontiguousarray(noise.transpose(1, 2, 0))
             for k in range(blk):
-                x += dt * _drift(weight, x) + sq * noise[:, k, :]
                 done += 1
+                if exact:
+                    noise_part *= decay
+                    noise_part += scale * noise[k]
+                    if done in snap:
+                        mean = np.exp(-kappa * (done * dt)) * starts.T
+                        np.add(mean[:, :, None], noise_part[:, None, :],
+                               out=x.transpose(2, 0, 1))
+                else:
+                    x += dt * _drift(weight, x) + sq * noise[:, k, :]
                 if done in snap:
                     observer(done, x, slice(p0, p1))
 
@@ -244,12 +282,14 @@ def resolvent_batch(weight: ConvexWeight, starts: np.ndarray, fs: Sequence[Calla
         plans.append((lam, weight_of, k_hor * dt_eff))
         all_steps |= set(weight_of.keys())
     acc = [[np.zeros((starts.shape[0], cfg.paths)) for _ in fs] for _ in lams]
+    sup_norms = [getattr(f, "sup_norm", None) for f in fs]
+    unbounded = [j for j, sup_f in enumerate(sup_norms) if sup_f is None]
     sup_seen = [0.0 for _ in fs]
 
     def grab(step, states, sl):
         vals = [np.asarray(f(states), dtype=float) for f in fs]
-        for j, v in enumerate(vals):
-            sup_seen[j] = max(sup_seen[j], float(np.max(np.abs(v))))
+        for j in unbounded:
+            sup_seen[j] = max(sup_seen[j], float(np.max(np.abs(vals[j]))))
         for i, (_, weight_of, _) in enumerate(plans):
             w = weight_of.get(step)
             if w is not None:
@@ -262,10 +302,9 @@ def resolvent_batch(weight: ConvexWeight, starts: np.ndarray, fs: Sequence[Calla
     tails = []
     for (lam, _, t_hor) in plans:
         row = []
-        for j, f in enumerate(fs):
-            sup_f = getattr(f, "sup_norm", None)
+        for sup_f, seen in zip(sup_norms, sup_seen):
             if sup_f is None:
-                sup_f = sup_seen[j]
+                sup_f = seen
             row.append(sup_f * np.exp(-lam * t_hor) / lam)
         tails.append(row)
     return acc, tails

@@ -4,7 +4,9 @@ A weight is a convex function on R^n handed around as a pair of oracles.
 All oracles are vectorized: ``eval`` maps an array of shape (..., n) to
 (...,) and ``subgrad`` maps (..., n) to (..., n).  ``grad_lip`` is a
 Lipschitz constant for the gradient when the weight is differentiable
-with Lipschitz gradient, else None.
+with Lipschitz gradient, else None.  ``linear_grad`` declares a
+coordinatewise linear gradient, ``subgrad(x) == linear_grad * x``, for
+the weights that have one (zero and diagonal quadratics), else None.
 """
 from __future__ import annotations
 
@@ -21,12 +23,16 @@ class ConvexWeight:
     subgrad: Callable[[np.ndarray], np.ndarray]
     grad_lip: Optional[float] = None
     label: str = ""
+    linear_grad: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("weight dimension must be >= 1")
         if self.grad_lip is not None and self.grad_lip < 0:
             raise ValueError("grad_lip must be nonnegative")
+        if self.linear_grad is not None and (
+                len(self.linear_grad) != self.dim or min(self.linear_grad) < 0):
+            raise ValueError("linear_grad needs dim nonnegative entries")
 
 
 def zero_weight(dim: int) -> ConvexWeight:
@@ -36,6 +42,7 @@ def zero_weight(dim: int) -> ConvexWeight:
         subgrad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         grad_lip=0.0,
         label="zero",
+        linear_grad=(0.0,) * dim,
     )
 
 
@@ -79,6 +86,7 @@ def diagonal_quadratic_weight(coeffs: np.ndarray, label: str = "diag-quadratic")
         subgrad=lambda x: 2.0 * coeffs * np.asarray(x, dtype=float),
         grad_lip=float(2.0 * coeffs.max()),
         label=label,
+        linear_grad=tuple(float(g) for g in 2.0 * coeffs),
     )
 
 

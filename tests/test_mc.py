@@ -1,10 +1,13 @@
 """Monte Carlo semigroup and resolvent checks against closed forms."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ouelliptic import mc
 from ouelliptic.cylinder import smoothed_indicator
-from ouelliptic.weights import diagonal_quadratic_weight, quadratic_weight, zero_weight
+from ouelliptic.weights import (diagonal_quadratic_weight, huber_weight,
+                                quadratic_weight, zero_weight)
 
 CFG_FAST = mc.DiffusionConfig(dt=5e-3, paths=2000, seed=5)
 CFG_MID = mc.DiffusionConfig(dt=1e-3, paths=10000, seed=5)
@@ -67,6 +70,31 @@ def test_stationary_law_quadratic_weight():
     out = mc.simulate_terminal(w, np.array([1.0]), 5.0, cfg)
     se_var = 0.5 * np.sqrt(2.0 / cfg.paths)
     assert abs(out.var(ddof=1) - 0.5) <= 4 * se_var + 0.02
+
+
+def test_linear_grad_declares_subgrad():
+    x = np.random.default_rng(0).standard_normal((5, 3))
+    for w in (zero_weight(3), diagonal_quadratic_weight(np.array([0.5, 0.0, 2.0]))):
+        assert np.array_equal(w.subgrad(x), np.array(w.linear_grad) * x)
+        assert hash(w) == hash(w)    # a tuple field keeps the weight hashable
+    assert huber_weight(3).linear_grad is None
+    assert quadratic_weight(np.eye(3)).linear_grad is None
+    for bad in ((1.0, 1.0), (1.0, -1.0, 0.0)):
+        with pytest.raises(ValueError, match="linear_grad"):
+            dataclasses.replace(zero_weight(3), linear_grad=bad)
+
+
+def test_exact_law_linear_drift_at_one_step():
+    # kappa = 1 + 2 * 0.5 = 2; one Euler step of length t would give variance 2t
+    kappa, t, xi = 2.0, 1.0, 1.5
+    cfg = mc.DiffusionConfig(dt=t, paths=4000, seed=9)
+    w = diagonal_quadratic_weight(np.array([0.5]))
+    out = mc.simulate_terminal(w, np.array([xi]), t, cfg)[:, 0]
+    var = (1.0 - np.exp(-2.0 * kappa * t)) / kappa
+    assert var == pytest.approx(0.49, abs=1e-3)
+    se_var = var * np.sqrt(2.0 / cfg.paths)
+    assert abs(out.mean() - np.exp(-kappa * t) * xi) <= 4 * np.sqrt(var / cfg.paths)
+    assert abs(out.var(ddof=1) - var) <= 4 * se_var
 
 
 def test_terminal_deterministic():
@@ -234,6 +262,23 @@ def test_resolvent_batch_shares_ensemble_across_lambdas():
         assert np.array_equal(tails[i][0], one_tails[0][0])
 
 
+@pytest.mark.parametrize("w", [diagonal_quadratic_weight(np.array([0.5, 0.25])),
+                               huber_weight(2)], ids=["linear-drift", "huber"])
+def test_resolvent_batch_chunk_invariant(w, monkeypatch):
+    # per-path noise streams: splitting the paths into chunks changes no bit
+    starts = np.array([[0.0, 0.0], [0.8, -0.5], [-1.2, 0.3]])
+    fs = [mc.MehlerFunction(kind="cosine", a=np.array([1.0, 1.0]) / np.sqrt(2)),
+          lambda x: np.tanh(x[..., 0])]
+    cfg = mc.DiffusionConfig(dt=0.05, paths=300, seed=11)
+    acc, tails = mc.resolvent_batch(w, starts, fs, [0.5, 2.0], cfg)
+    monkeypatch.setattr(mc, "_STATE_BUDGET", starts.size * 100)   # 3 chunks
+    chunked_acc, chunked_tails = mc.resolvent_batch(w, starts, fs, [0.5, 2.0], cfg)
+    for row, chunked_row in zip(acc, chunked_acc):
+        for a, b in zip(row, chunked_row):
+            assert np.array_equal(a, b)
+    assert tails == chunked_tails
+
+
 def test_cross_validation_grid_vs_mc():
     from ouelliptic import cylinder, grid
 
@@ -248,3 +293,22 @@ def test_cross_validation_grid_vs_mc():
         got = mc.resolvent_apply(zero_weight(1), f, lam, np.array([xi]), cfg)
         want = float(u.value(np.array([[xi]]))[0])
         assert abs(got.mean - want) <= 0.02 * abs(want) + 3 * got.std_error
+
+
+def test_euler_branch_huber_grid_vs_mc():
+    # huber has a non-linear drift, so its paths take Euler steps; measured
+    # |mc - grid| at these points is at most 0.45% of u (about 1.1 SE)
+    from ouelliptic import cylinder, grid
+
+    w = huber_weight(1)
+    f = mc.MehlerFunction(kind="cosine", a=np.array([1.0]))
+    lam = 1.0
+    spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 32)
+    fgrid = cylinder.cos_linear(np.array([1.0]))
+    [sol] = grid.solve_elliptic_grid(w, [fgrid.value], lam, spec)
+    u = grid.GridFunction(sol)
+    cfg = mc.DiffusionConfig(dt=5e-3, paths=4000, seed=5)
+    for xi in (0.0, 0.8, -1.2):
+        got = mc.resolvent_apply(w, f, lam, np.array([xi]), cfg)
+        want = float(u.value(np.array([[xi]]))[0])
+        assert abs(got.mean - want) <= 0.01 * abs(want) + 3 * got.std_error
