@@ -28,7 +28,7 @@ def _demo_weight(name: str, dim: int):
     if name == "zero":
         return zero_weight(dim)
     if name == "energy":
-        return diagonal_quadratic_weight(wiener.WienerBasis(dim).lam)
+        return wiener.energy_convex_weight(dim)
     raise SystemExit(f"unknown weight {name!r}")
 
 

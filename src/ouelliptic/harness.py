@@ -136,30 +136,40 @@ def make_weight(cfg: ExperimentConfig, n: int) -> ConvexWeight:
         if not diag.any():
             return zero_weight(n)
         return diagonal_quadratic_weight(diag, label=cfg.weight)
-    return _mollified_weight(cfg, n,
-                             float(cfg.weight_params.get("epsilon", 0.25)))
+    return _mollified_weight(cfg, n)
 
 
-def _mollified_weight(cfg: ExperimentConfig, n: int, eps: float) -> ConvexWeight:
-    """The configured weight at dimension n, mollified at scale eps."""
+def _ladder_epsilon(n: int) -> float:
+    return 1.0 / n      # the truncation ladder's mollification scale
+
+
+def _mollified_weight(cfg: ExperimentConfig, n: int, eps=None) -> ConvexWeight:
+    """The configured weight at dimension n, mollified at scale eps (by
+    default the config's epsilon)."""
+    p = cfg.weight_params
+    cfg_eps = float(p.get("epsilon", 0.25))
+    eps = cfg_eps if eps is None else eps
     if cfg.weight != "max-endpoint":
         return galerkin.mollify(make_weight(cfg, n), eps)
-    p = cfg.weight_params
-    return _max_endpoint_weight(
-        n, eps, int(p.get("modes", 256)), int(p.get("tail_samples", 64)),
-        cfg.seed, int(p.get("time_points", 256)), cfg.grid_radius, cfg.grid_mesh)
+    widest = max(cfg_eps, _ladder_epsilon(n))
+    return galerkin.mollify(_max_endpoint_table(
+        n, int(p.get("modes", 256)), int(p.get("tail_samples", 64)), cfg.seed,
+        int(p.get("time_points", 256)), cfg.grid_radius + widest + cfg.grid_mesh,
+        cfg.grid_mesh), eps)
 
 
-# A run needs at most 2 grid dims x 2 scales (the config's eps, the ladder's 1/n).
-@functools.lru_cache(maxsize=4)
-def _max_endpoint_weight(n, eps, modes, tail_samples, seed, time_points,
-                         grid_radius, grid_mesh) -> ConvexWeight:
-    """Truncated max-endpoint weight at dimension n, tabulated on the grid
-    box widened by eps and mollified at scale eps."""
+# A run needs one table per grid dim (1 and 2), shared by every scale.
+@functools.lru_cache(maxsize=2)
+def _max_endpoint_table(n, modes, tail_samples, seed, time_points, radius,
+                        mesh) -> ConvexWeight:
+    """Truncated max-endpoint weight at dimension n, tabulated on
+    [-radius, radius]^n: the grid box widened by the largest scale it is
+    mollified at, and one mesh.  Nodes are multiples of the mesh, so a
+    smaller scale's shifted queries meet the same cells and values as on
+    a table widened by that scale alone."""
     raw = wiener.max_endpoint_truncated(n, modes=modes, samples=tail_samples,
                                         seed=seed, time_points=time_points)
-    tab = galerkin.tabulate_weight(raw, grid_radius + eps + grid_mesh, grid_mesh)
-    return galerkin.mollify(tab, eps)
+    return galerkin.tabulate_weight(raw, radius, mesh)
 
 
 def make_test_function(name: str, n: int) -> cylinder.CylinderFunction:
@@ -221,10 +231,14 @@ class ReportRow:
     route: str = ""
 
     def json_dict(self):
-        return {"weight": self.weight, "n": self.n, "lambda": self.lam,
-                "quantity": self.quantity, "estimate": self.estimate,
-                "std_error": self.std_error, "bound": self.bound,
-                "margin": self.margin, "pass": self.passed}
+        """The JSON schema; a non-finite number (an error row's NaN
+        estimate and infinite standard error) is null."""
+        d = {"weight": self.weight, "n": self.n, "lambda": self.lam,
+             "quantity": self.quantity, "estimate": self.estimate,
+             "std_error": self.std_error, "bound": self.bound,
+             "margin": self.margin, "pass": self.passed}
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in d.items()}
 
 
 def make_row(weight, n, lam, quantity, estimate, std_error, bound, *,
@@ -266,7 +280,7 @@ class EstimateReport:
 
     def to_json(self) -> str:
         return json.dumps([r.json_dict() for r in self.sorted_rows()],
-                          indent=2, sort_keys=True)
+                          indent=2, sort_keys=True, allow_nan=False)
 
     def to_csv(self) -> str:
         lines = [",".join(_CSV_FIELDS)]
@@ -513,17 +527,28 @@ def _mc_rows(cfg: ExperimentConfig, n: int) -> list:
 # ---------------------------------------------------------------------------
 # verification entry points
 
+def _guarded(cfg: ExperimentConfig, n: int, quantity: str, stage):
+    """stage() for dimension n, and its failing rows.
+
+    A ValueError, ArithmeticError or LinAlgError raised by the stage
+    gives no result and one failing row (route "failed") that names the
+    error, so a failed stage still writes every artifact and exits 1.
+    """
+    try:
+        return stage(), []
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:
+        return [], [make_row(cfg.weight, n, 0.0, quantity, math.nan, math.inf,
+                             0.0, f_label=f"error: {e}", route="failed")]
+
+
 def verify_main_estimates(cfg: ExperimentConfig) -> EstimateReport:
     """Solution-norm ratio rows for every (n, lambda, f) of the config."""
     rows = []
     for n in cfg.dims:
         use_grid = cfg.route == "grid" or (cfg.route == "auto" and n <= 2)
-        try:
-            rows += _grid_rows(cfg, n) if use_grid else _mc_rows(cfg, n)
-        except (ValueError, FloatingPointError, np.linalg.LinAlgError) as e:
-            rows.append(make_row(cfg.weight, n, 0.0, "L2_ratio",
-                                 math.nan, math.inf, 0.0,
-                                 f_label=f"error: {e}", route="failed"))
+        done, failed = _guarded(cfg, n, "L2_ratio", lambda: (
+            _grid_rows(cfg, n) if use_grid else _mc_rows(cfg, n)))
+        rows += done + failed
     return EstimateReport(rows=rows)
 
 
@@ -536,41 +561,60 @@ def verify_domain_equivalence(cfg: ExperimentConfig) -> EstimateReport:
     """
     rows = []
     for n in cfg.dims:
-        w = make_weight(cfg, n)
-        x, logw = _cloud(cfg, w, n, 3)
-        for name in cfg.test_functions:
-            u = make_test_function(name, n)
-            uv = np.asarray(u(x), dtype=float)
-            ug = u.gradient(x)
-            uh = u.hessian(x)
-            lu = grid.apply_generator(w, u, x)
-            usq = uv * uv
-            lsq = lu * lu
-            gsq = np.sum(ug * ug, -1)
-            hsq = np.sum(uh * uh, (-2, -1))
-
-            est, se = _sum_sqrt_ratio([usq, lsq], [usq, gsq, hsq], logw)
-            rows.append(make_row(cfg.weight, n, 0.0, "domain_equiv_ratio",
-                                 est, se, 1.0, f_label=f"{name}|graph/W22",
-                                 route="analytic"))
-            est, se = _sum_sqrt_ratio([usq, gsq, hsq], [usq, lsq], logw)
-            rows.append(make_row(cfg.weight, n, 0.0, "domain_equiv_ratio",
-                                 est, se, DOMAIN_CONSTANT,
-                                 f_label=f"{name}|W22/graph", route="analytic"))
-            est, se = sn_mean(uv * lu, logw)
-            rows.append(make_row(cfg.weight, n, 0.0, "dissipativity",
-                                 est, se, 0.0, f_label=name, route="analytic"))
+        done, failed = _guarded(cfg, n, "domain_equiv_ratio",
+                                lambda: _domain_rows(cfg, n))
+        rows += done + failed
     return EstimateReport(rows=rows)
 
 
-def ladder_table(cfg: ExperimentConfig) -> list:
+def _domain_rows(cfg: ExperimentConfig, n: int) -> list:
+    w = make_weight(cfg, n)
+    x, logw = _cloud(cfg, w, n, 3)
+    rows = []
+    for name in cfg.test_functions:
+        u = make_test_function(name, n)
+        uv = np.asarray(u(x), dtype=float)
+        ug = u.gradient(x)
+        uh = u.hessian(x)
+        lu = grid.apply_generator(w, u, x)
+        usq = uv * uv
+        lsq = lu * lu
+        gsq = np.sum(ug * ug, -1)
+        hsq = np.sum(uh * uh, (-2, -1))
+
+        est, se = _sum_sqrt_ratio([usq, lsq], [usq, gsq, hsq], logw)
+        rows.append(make_row(cfg.weight, n, 0.0, "domain_equiv_ratio",
+                             est, se, 1.0, f_label=f"{name}|graph/W22",
+                             route="analytic"))
+        est, se = _sum_sqrt_ratio([usq, gsq, hsq], [usq, lsq], logw)
+        rows.append(make_row(cfg.weight, n, 0.0, "domain_equiv_ratio",
+                             est, se, DOMAIN_CONSTANT,
+                             f_label=f"{name}|W22/graph", route="analytic"))
+        est, se = sn_mean(uv * lu, logw)
+        rows.append(make_row(cfg.weight, n, 0.0, "dissipativity",
+                             est, se, 0.0, f_label=name, route="analytic"))
+    return rows
+
+
+def ladder_table(cfg: ExperimentConfig) -> tuple[list, list]:
     """Residual of the full equation along the truncation ladder.
 
     For each grid-solvable n the reduced problem is solved with the
     mollified weight at scale eps = 1/n, and || lam V - L V - f || is
     estimated in L^2 of the full weighted measure at the master
-    truncation; the drift gap makes it shrink as n grows.
+    truncation; the drift gap makes it shrink as n grows.  Returns the
+    table and the failing report rows of the rungs that raised.
     """
+    table, failed = [], []
+    for n in [n for n in cfg.dims if n <= 2]:
+        done, bad = _guarded(cfg, n, "ladder_residual",
+                             lambda: [_ladder_rung(cfg, n)])
+        table += done
+        failed += bad
+    return table, failed
+
+
+def _ladder_rung(cfg: ExperimentConfig, n: int) -> dict:
     lam = float(cfg.lambdas[0])
     f = make_test_function("tanh", 1)
     m = int(cfg.weight_params.get("modes", 256))
@@ -579,28 +623,24 @@ def ladder_table(cfg: ExperimentConfig) -> list:
             m, time_points=int(cfg.weight_params.get("time_points", 256)))
     else:
         full = make_weight(cfg, m)
-    out = []
-    for n in [n for n in cfg.dims if n <= 2]:
-        eps = 1.0 / n
-        w_eps = _mollified_weight(cfg, n, eps)
-        spec = grid.GridSpec(dim=n, radius=cfg.grid_radius, mesh=cfg.grid_mesh)
-        [sol] = grid.solve_elliptic_grid(w_eps, [f], lam, spec)
-        rng = substream(cfg.seed, NORM_TAG, 4, n)
-        xm = rng.standard_normal((_LADDER_SAMPLES, m))
-        np.clip(xm[:, :n], -cfg.grid_radius + cfg.grid_mesh,
-                cfg.grid_radius - cfg.grid_mesh, out=xm[:, :n])
-        logw = -np.asarray(full.eval(xm), dtype=float)
-        xi = xm[:, :n]
-        val, gv, hv = grid.GridFunction(sol).jet(xi)
-        g_full = np.asarray(full.subgrad(xm), dtype=float)[:, :n]
-        resid = (lam * val - (np.trace(hv, axis1=-2, axis2=-1)
-                              - ((g_full + xi) * gv).sum(-1))
-                 - np.asarray(f(xi), dtype=float))
-        norm, se = sn_norm(resid * resid, logw)
-        out.append({"weight": cfg.weight, "n": n, "epsilon": eps,
-                    "lambda": lam, "f": "tanh", "residual_l2": norm,
-                    "std_error": se})
-    return out
+    eps = _ladder_epsilon(n)
+    w_eps = _mollified_weight(cfg, n, eps)
+    spec = grid.GridSpec(dim=n, radius=cfg.grid_radius, mesh=cfg.grid_mesh)
+    [sol] = grid.solve_elliptic_grid(w_eps, [f], lam, spec)
+    rng = substream(cfg.seed, NORM_TAG, 4, n)
+    xm = rng.standard_normal((_LADDER_SAMPLES, m))
+    np.clip(xm[:, :n], -cfg.grid_radius + cfg.grid_mesh,
+            cfg.grid_radius - cfg.grid_mesh, out=xm[:, :n])
+    logw = -np.asarray(full.eval(xm), dtype=float)
+    xi = xm[:, :n]
+    val, gv, hv = grid.GridFunction(sol).jet(xi)
+    g_full = np.asarray(full.subgrad(xm), dtype=float)[:, :n]
+    resid = (lam * val - (np.trace(hv, axis1=-2, axis2=-1)
+                          - ((g_full + xi) * gv).sum(-1))
+             - np.asarray(f(xi), dtype=float))
+    norm, se = sn_norm(resid * resid, logw)
+    return {"weight": cfg.weight, "n": n, "epsilon": eps, "lambda": lam,
+            "f": "tanh", "residual_l2": norm, "std_error": se}
 
 
 def nslope_table(cfg: ExperimentConfig, report: EstimateReport) -> list:
@@ -724,7 +764,8 @@ def run_experiment(config_path=None, scope: str = "all", seed=None, out=None,
         report = report.merged(main)
         nslope = nslope_table(cfg, main)
         if scope == "all":
-            ladder = ladder_table(cfg)
+            ladder, failed = ladder_table(cfg)
+            report = report.merged(EstimateReport(rows=failed))
     if scope in ("all", "domain"):
         report = report.merged(verify_domain_equivalence(cfg))
 

@@ -18,7 +18,7 @@ import numpy as np
 from .cylinder import CylinderFunction
 from .mc import MCValue
 from .rng import substream, MISC_TAG, NORM_TAG, TAIL_TAG
-from .weights import ConvexWeight
+from .weights import ConvexWeight, diagonal_quadratic_weight
 
 DEFAULT_TIME_POINTS = 2048
 
@@ -51,9 +51,7 @@ class WienerBasis:
 def cm_norm_sq(coeffs: np.ndarray) -> float:
     """Squared path-derivative norm of sum_i c_i e_i: sum c_i^2 / lam_i."""
     coeffs = np.asarray(coeffs, dtype=float)
-    i = np.arange(1, coeffs.size + 1)
-    lam = 4.0 / (np.pi ** 2 * (2 * i - 1) ** 2)
-    return float(np.sum(coeffs ** 2 / lam))
+    return float(np.sum(coeffs ** 2 / WienerBasis(coeffs.size).lam))
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,7 @@ def energy_weight(path_or_coeffs) -> tuple[float, np.ndarray]:
     coefficient on h_i is 2 lam_i xi_i.
     """
     xi = _coeffs_of(path_or_coeffs)
-    i = np.arange(1, xi.size + 1)
-    lam = 4.0 / (np.pi ** 2 * (2 * i - 1) ** 2)
+    lam = WienerBasis(xi.size).lam
     return float(np.sum(lam * xi ** 2)), 2.0 * lam * xi
 
 
@@ -120,15 +117,7 @@ def max_endpoint_weight(path: KLPathSample) -> MaxEndpointResult:
 
 def energy_convex_weight(modes: int) -> ConvexWeight:
     """The energy weight as oracles on h-frame coordinates."""
-    basis = WienerBasis(modes)
-    lam = basis.lam
-    return ConvexWeight(
-        dim=modes,
-        eval=lambda x: np.sum(lam * np.square(x), axis=-1),
-        subgrad=lambda x: 2.0 * lam * np.asarray(x, dtype=float),
-        grad_lip=float(2.0 * lam[0]),
-        label="energy",
-    )
+    return diagonal_quadratic_weight(WienerBasis(modes).lam, label="energy")
 
 
 def max_endpoint_convex_weight(modes: int,

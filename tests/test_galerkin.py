@@ -4,7 +4,7 @@ import pytest
 
 from ouelliptic import cylinder, galerkin, grid, wiener
 from ouelliptic.weights import (ConvexWeight, huber_weight, linear_weight,
-                                quadratic_weight, zero_weight)
+                                logsumexp_weight, quadratic_weight, zero_weight)
 
 
 def test_cylindrical_base_is_exact():
@@ -245,6 +245,43 @@ def test_tabulated_weight_matches_inner():
     pts = rng.uniform(-3.5, 3.5, size=(200, 1))
     assert np.max(np.abs(tab.eval(pts) - inner.eval(pts))) < 1e-3
     assert np.max(np.abs(tab.subgrad(pts) - inner.subgrad(pts))) < 5e-2
+
+
+def test_tabulated_2d_weight_nodes_midpoints_and_extrapolation():
+    a = np.array([[1.0, 0.5], [-0.7, 1.2], [0.3, -1.1]])
+    inner = logsumexp_weight(a, np.array([0.2, -0.1, 0.4]))
+    radius = 2.0
+
+    def midpoint_error(mesh):
+        tab = galerkin.tabulate_weight(inner, radius=radius, mesh=mesh)
+        ax = np.arange(-radius, radius, mesh) + mesh / 2.0
+        mid = np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)
+        return float(np.max(np.abs(tab.eval(mid) - inner.eval(mid))))
+
+    mesh = 0.125
+    tab = galerkin.tabulate_weight(inner, radius=radius, mesh=mesh)
+    nodes = grid.GridSpec(dim=2, radius=radius, mesh=mesh).points()
+    assert np.allclose(tab.eval(nodes), inner.eval(nodes), rtol=0, atol=1e-12)
+    assert np.allclose(tab.subgrad(nodes), inner.subgrad(nodes),
+                       rtol=0, atol=1e-12)
+
+    # bilinear error at cell centres: (h^2/8)(|U_xx| + |U_yy|) <= h^2 lip / 4
+    err = midpoint_error(mesh)
+    assert 0.0 < err <= mesh ** 2 * inner.grad_lip / 4.0
+    assert midpoint_error(mesh / 2.0) < err / 3.0
+
+    # outside the box the boundary cell's bilinear forms, of the value and
+    # of each gradient component, continue linearly
+    y = 0.5
+    edge = np.array([[radius - mesh, y], [radius, y]])
+    t = np.array([0.25, 0.5, 1.5])
+    out = np.stack([radius + t, np.full(3, y)], -1)
+    v_in, v_edge = tab.eval(edge)
+    want = v_edge + t * (v_edge - v_in) / mesh
+    assert np.allclose(tab.eval(out), want, rtol=0, atol=1e-12)
+    g_in, g_edge = tab.subgrad(edge)
+    want = g_edge + t[:, None] * (g_edge - g_in) / mesh
+    assert np.allclose(tab.subgrad(out), want, rtol=0, atol=1e-12)
 
 
 def test_tabulate_validation():

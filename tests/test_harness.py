@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, report rows, routes, CLI wiring."""
 
 import ast
+import csv
 import json
 import math
 import re
@@ -33,6 +34,14 @@ norm_samples = 2000
 [weight_params]
 modes = 16
 """
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the NaN and Infinity that strict readers refuse."""
+    def reject(const):
+        raise ValueError(f"non-standard JSON constant {const}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def small_cfg(**overrides):
@@ -200,6 +209,15 @@ def test_json_row_schema():
     # presentation detail stays in the CSV, out of the JSON schema
     assert "f_label" not in d and "route" not in d and "allowance" not in d
     json.dumps(d)
+
+    # an error row's NaN estimate and infinite SE are strict-JSON nulls
+    bad = make_row("energy", 2, 0.0, "L2_ratio", math.nan, math.inf, 0.0,
+                   f_label="error: x", route="failed")
+    d = bad.json_dict()
+    assert d["estimate"] is None and d["std_error"] is None
+    assert d["margin"] is None and d["bound"] == 0.0 and d["pass"] is False
+    parsed = strict_json(EstimateReport(rows=[r, bad]).to_json())
+    assert [p["estimate"] for p in parsed] == [None, 0.3]    # sorted by lambda
 
 
 def test_report_sorting_csv_and_merge():
@@ -502,10 +520,55 @@ def test_seed_override_changes_estimates(tiny_run):
 
 
 def test_each_weight_is_built_once_per_run(tmp_path, monkeypatch):
-    """Main and domain stages share the eps = 0.25 tables; the ladder adds
-    one at eps = 1/n per grid dim: four tabulations for dims 1 and 2."""
+    """One max-endpoint table per grid dim serves every smoothing scale:
+    the main and domain stages' eps = 0.25 and the ladder's eps = 1/n."""
     cfg = tmp_path / "mend.ini"
-    cfg.write_text("""[experiment]
+    cfg.write_text(MEND_INI)
+    calls = []
+    tabulate = galerkin.tabulate_weight
+
+    def counting(inner, radius, mesh, *args, **kwargs):
+        calls.append((inner.dim, radius))
+        return tabulate(inner, radius, mesh, *args, **kwargs)
+
+    harness._max_endpoint_table.cache_clear()
+    monkeypatch.setattr(galerkin, "tabulate_weight", counting)
+    code = harness.run_experiment(config_path=str(cfg), scope="all",
+                                  out=str(tmp_path / "run"), quiet=True)
+    harness._max_endpoint_table.cache_clear()
+    assert code == 0
+    # tabulation radius is grid radius + max(0.25, 1/n) + mesh
+    assert sorted(calls) == [(1, 4.25), (2, 3.75)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_shared_table_serves_every_scale_identically(n):
+    """The run's mollified max-endpoint weight, read from the one table of
+    dimension n, equals bit for bit the one read from a table widened by
+    its own scale alone, at the config's eps and at the ladder's 1/n."""
+    radius, mesh = 3.0, 0.25
+    cfg = small_cfg(weight="max-endpoint", dims=(1, 2), grid_radius=radius,
+                    grid_mesh=mesh, weight_params=dict(
+                        modes=16, tail_samples=4, time_points=32,
+                        epsilon=0.25))
+    raw = wiener.max_endpoint_truncated(n, modes=16, samples=4, seed=0,
+                                        time_points=32)
+    nodes = harness.grid.GridSpec(dim=n, radius=radius, mesh=mesh).points()
+    cloud = np.random.default_rng(5).standard_normal((3000, n)) * 2.0
+    np.clip(cloud, -radius + mesh, radius - mesh, out=cloud)
+    harness._max_endpoint_table.cache_clear()
+    for eps in (0.25, 1.0 / n):
+        shared = harness._mollified_weight(cfg, n, eps)
+        own = galerkin.mollify(
+            galerkin.tabulate_weight(raw, radius + eps + mesh, mesh), eps)
+        for x in (nodes, cloud):
+            assert np.array_equal(shared.eval(x), own.eval(x))
+            assert np.array_equal(shared.subgrad(x), own.subgrad(x))
+    assert harness._max_endpoint_table.cache_info().misses == 1
+    harness._max_endpoint_table.cache_clear()
+
+
+MEND_INI = """[experiment]
 weight = max-endpoint
 dims = 1 2
 lambdas = 1
@@ -523,22 +586,44 @@ modes = 16
 tail_samples = 4
 time_points = 32
 epsilon = 0.25
-""")
-    calls = []
-    tabulate = galerkin.tabulate_weight
+"""
 
-    def counting(inner, radius, mesh, *args, **kwargs):
-        calls.append((inner.dim, radius))
-        return tabulate(inner, radius, mesh, *args, **kwargs)
 
-    harness._max_endpoint_weight.cache_clear()
-    monkeypatch.setattr(galerkin, "tabulate_weight", counting)
-    code = harness.run_experiment(config_path=str(cfg), scope="all",
-                                  out=str(tmp_path / "run"), quiet=True)
-    harness._max_endpoint_weight.cache_clear()
-    assert code == 0
-    # tabulation radius is grid radius + eps + mesh; eps is 0.25 or 1/n
-    assert sorted(calls) == [(1, 3.5), (1, 4.25), (2, 3.5), (2, 3.75)]
+@pytest.mark.parametrize("command", ["verify-estimates", "verify-domain"])
+@pytest.mark.parametrize("edit, error, passing", [
+    (("modes = 16", "modes = 2"), "need 0 < n < modes", {1}),
+    (("tail_samples = 4", "tail_samples = 0"),
+     "integer division or modulo by zero", set()),
+], ids=["modes-2", "no-tails"])
+def test_stage_failure_is_a_failing_row(tmp_path, command, edit, error,
+                                        passing):
+    """With modes = 2 the dimension-2 truncation cannot be built, and with
+    no tail samples neither can any other: each stage turns that into a
+    failing row, writes every artifact and exits 1 instead of raising."""
+    cfg = tmp_path / "mend.ini"
+    cfg.write_text(MEND_INI.replace(*edit))
+    out = tmp_path / "run"
+    code = cli.main([command, "--config", str(cfg), "--out", str(out),
+                     "--quiet"])
+    assert code == 1
+    rows = strict_json((out / "report.json").read_text())
+    assert {r["n"] for r in rows if r["pass"]} == passing
+    with open(out / "tables" / "estimates.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(table) == len(rows)
+    failed = [r for r in table if r["route"] == "failed"]
+    stages = {"domain_equiv_ratio"}
+    if command == "verify-estimates":
+        stages |= {"L2_ratio", "ladder_residual"}
+        with open(out / "tables" / "ladder.csv", newline="") as fh:
+            ladder = [int(r["n"]) for r in csv.DictReader(fh)]
+        assert set(ladder) == passing
+        assert (out / "tables" / "nslope.csv").is_file()
+    assert {r["quantity"] for r in failed} == stages
+    assert {int(r["n"]) for r in failed} == {1, 2} - passing
+    assert all(r["pass"] == "false" and r["f"] == f"error: {error}"
+               for r in failed)
+    assert "FAIL" in (out / "summary.txt").read_text()
 
 
 def test_narrow_domain_fails_honestly(tmp_path):
