@@ -5,8 +5,9 @@ Sections and keys (all optional; defaults shown in configs/energy.ini):
   [experiment]  weight, dims, lambdas, test_functions, seed, output_dir, route
   [mc]          dt, paths, t_max, quad_nodes, cloud, fd_step
   [grid]        radius, mesh, norm_samples
-  [weight_params]  free-form numeric parameters handed to the weight
-                   (coeff, modes, tail_samples, time_points, epsilon)
+  [weight_params]  numeric parameters handed to the weight (coeff,
+                   modes, tail_samples, time_points, epsilon); the ones
+                   the configured weight reads are range-checked
 
 Lists are whitespace- or comma-separated.  Any parse or validation
 problem raises ConfigError, which the CLI maps to exit code 2.

@@ -5,8 +5,13 @@ the first n at Gaussian draws and averages the weight over them, which
 keeps convexity in the retained variables and is deterministic for a
 fixed seed.  Mollification convolves a weight with a compactly supported
 bump at scale epsilon, trading an O(epsilon) sup error for smoothness.
-The residual utilities quantify how far a solution of the reduced
-elliptic problem is from solving the full one.
+Tabulation reads a low-dimensional weight's value and subgradient once
+at the nodes of a regular mesh into one table and serves every later
+query from it through grid.table_lookup, with no scipy interpolator;
+the max-endpoint weight is tabulated, mollified, and its mollification
+tabulated again at the grid nodes (its node table).  The residual
+utilities quantify how far a solution of the reduced elliptic problem
+is from solving the full one.
 """
 from __future__ import annotations
 
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import beta as beta_fn
 
+from .grid import table_lookup
 from .mc import MCValue
 from .norms import sn_norm
 from .rng import NORM_TAG, TAIL_TAG, substream
@@ -191,7 +197,9 @@ def mollify(inner: ConvexWeight, epsilon: float,
     The result is convex (a convex combination of translates), coincides
     with the inner weight up to Lip(inner) * epsilon in sup norm, and is
     evaluated by the kernel's quadrature rule so repeated calls are cheap
-    and deterministic.
+    and deterministic.  The joint oracle eval_subgrad reads the inner
+    weight's value_subgrad once at the shifted points; eval and subgrad
+    alone read only the inner oracle they need.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -212,9 +220,15 @@ def mollify(inner: ConvexWeight, epsilon: float,
         g = inner.subgrad(x[..., None, :] - shifts)
         return np.einsum("...kn,k->...n", g, wts)
 
+    def both(x):
+        x = np.asarray(x, dtype=float)
+        vals, g = inner.value_subgrad(x[..., None, :] - shifts)
+        return vals @ wts, np.einsum("...kn,k->...n", g, wts)
+
     return ConvexWeight(dim=inner.dim, eval=ev, subgrad=sg,
                         grad_lip=inner.grad_lip,
-                        label=f"mollified[{epsilon:g}]({inner.label})")
+                        label=f"mollified[{epsilon:g}]({inner.label})",
+                        eval_subgrad=both)
 
 
 def tabulate_weight(inner: ConvexWeight, radius: float, mesh: float,
@@ -222,14 +236,14 @@ def tabulate_weight(inner: ConvexWeight, radius: float, mesh: float,
     """Sample an expensive low-dimensional weight once on a regular mesh
     and serve it by linear interpolation.
 
-    Useful when a weight's oracles dominate the cost of grid assembly or
-    importance sampling: evaluation happens once per node here, and every
-    later call is an interpolation lookup.  Linear interpolation keeps
-    convexity exactly in one dimension and up to O(mesh^2) otherwise;
-    queries outside [-radius, radius]^d extrapolate linearly.
+    One pass over the nodes k * mesh of [-radius, radius]^d reads the
+    value and the subgradient together (inner.value_subgrad) into one
+    (nodes, 1 + d) table; every later call is one grid.table_lookup of
+    that table, which returns both.  Useful when a weight's oracles
+    dominate the cost of grid assembly or importance sampling.  Linear
+    interpolation keeps convexity exactly in one dimension and up to
+    O(mesh^2) otherwise; queries outside the box extrapolate linearly.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     d = inner.dim
     if d not in (1, 2):
         raise ValueError("tabulation is for weights of dimension 1 or 2")
@@ -237,33 +251,23 @@ def tabulate_weight(inner: ConvexWeight, radius: float, mesh: float,
     ax = np.arange(-half, half + 1) * mesh
     pts = ax[:, None] if d == 1 else np.stack(
         np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
-    vals = np.empty(pts.shape[0])
-    grads = np.empty_like(pts)
+    table = np.empty((pts.shape[0], 1 + d))
     for lo in range(0, pts.shape[0], chunk):
-        block = pts[lo:lo + chunk]
-        vals[lo:lo + chunk] = inner.eval(block)
-        grads[lo:lo + chunk] = inner.subgrad(block)
-    shape = (ax.size,) * d
-    axes = (ax,) * d
+        vals, grads = inner.value_subgrad(pts[lo:lo + chunk])
+        table[lo:lo + chunk, 0] = vals
+        table[lo:lo + chunk, 1:] = grads
 
-    def interp(arr):
-        return RegularGridInterpolator(axes, arr.reshape(shape),
-                                       bounds_error=False, fill_value=None)
-
-    v_itp = interp(vals)
-    g_itp = [interp(grads[:, i]) for i in range(d)]
-
-    def ev(x):
+    def both(x):
         x = np.asarray(x, dtype=float)
-        return v_itp(x.reshape(-1, d)).reshape(x.shape[:-1])
+        out = table_lookup(table, ax, mesh, x.reshape(-1, d))
+        # contiguous halves: a reduction over them (mollify's quadrature)
+        # then sums in the same order as over any other oracle's output
+        return (np.ascontiguousarray(out[:, 0]).reshape(x.shape[:-1]),
+                np.ascontiguousarray(out[:, 1:]).reshape(x.shape))
 
-    def sg(x):
-        x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, d)
-        return np.stack([g(flat) for g in g_itp], axis=-1).reshape(x.shape)
-
-    return ConvexWeight(dim=d, eval=ev, subgrad=sg, grad_lip=inner.grad_lip,
-                        label=f"tabulated({inner.label})")
+    return ConvexWeight(dim=d, eval=lambda x: both(x)[0],
+                        subgrad=lambda x: both(x)[1], grad_lip=inner.grad_lip,
+                        label=f"tabulated({inner.label})", eval_subgrad=both)
 
 
 def perturbation_residual(v, full_weight: ConvexWeight, trunc_weight: ConvexWeight,

@@ -240,15 +240,55 @@ def bernstein_monitor(slices: Sequence[GridSolution], margin_cells: int = 2) -> 
     return best
 
 
+def table_lookup(table: np.ndarray, axis: np.ndarray, mesh: float,
+                 x: np.ndarray) -> np.ndarray:
+    """Rows of a node table, interpolated at points x (M, dim).
+
+    The nodes are the tensor grid axis^dim, x-major, with spacing mesh;
+    table holds one row per node and any number of columns.  Every
+    column is interpolated multilinearly inside the box and by linear
+    extrapolation of the edge cells outside it, reproducing
+    RegularGridInterpolator(..., fill_value=None) bit for bit.
+    """
+    n = axis.size
+    cells, ts = [], []
+    for xk in x.T:
+        # cell with axis[i] <= x < axis[i+1], edge cells extended outwards
+        i = np.clip(np.floor((xk - axis[0]) / mesh), 0, n - 2).astype(np.intp)
+        i -= (xk < axis[i]) & (i > 0)
+        i += (xk >= axis[i + 1]) & (i < n - 2)
+        cells.append(i)
+        ts.append(((xk - axis[i]) / (axis[i + 1] - axis[i]))[:, None])
+    if x.shape[1] == 1:
+        [i], [t0] = cells, ts
+        corners = [(i, (1 - t0,)), (i + 1, (t0,))]
+    else:
+        (i0, i1), (t0, t1) = cells, ts
+        k = i0 * n + i1
+        s0, s1 = 1 - t0, 1 - t1
+        corners = [(k, (s0, s1)), (k + 1, (s0, t1)), (k + n, (t0, s1)),
+                   (k + n + 1, (t0, t1))]
+    # sum over corners of row * weights, multiplied and added in place
+    # in that order; np.take gathers rows about twice as fast as indexing
+    out = None
+    for rows, weights in corners:
+        term = np.take(table, rows, axis=0)
+        for w in weights:
+            term *= w
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
 class GridFunction:
     """Piecewise-linear view of a grid solution: value, gradient, Hessian.
 
     One table holds, per grid point, the value, the gradient columns and
     the full Hessian (row-major), the derivatives taken by central
-    differences on the grid; one lookup interpolates every column at a
-    point set, multilinearly inside the box and by linear extrapolation
-    of the edge cells outside it.  The lookup reproduces
-    RegularGridInterpolator(..., fill_value=None) bit for bit.
+    differences on the grid; one table_lookup interpolates every column
+    at a point set.
     """
 
     def __init__(self, sol: GridSolution):
@@ -272,35 +312,14 @@ class GridFunction:
                     np.gradient(sol.gradient[..., i], h, axis=j)
         self._table = table.reshape(-1, table.shape[-1])
 
-    def _lookup(self, x: np.ndarray) -> np.ndarray:
-        """Interpolated table rows at points x (M, dim)."""
-        ax = self._axis
-        n = ax.size
-        cells, ts = [], []
-        for xk in x.T:
-            # cell with ax[i] <= x < ax[i+1], edge cells extended outwards
-            i = np.clip(np.floor((xk - ax[0]) / self.spec.mesh), 0, n - 2).astype(np.intp)
-            i -= (xk < ax[i]) & (i > 0)
-            i += (xk >= ax[i + 1]) & (i < n - 2)
-            cells.append(i)
-            ts.append(((xk - ax[i]) / (ax[i + 1] - ax[i]))[:, None])
-        t = self._table
-        if self.spec.dim == 1:
-            [i], [t0] = cells, ts
-            return t[i] * (1 - t0) + t[i + 1] * t0
-        (i0, i1), (t0, t1) = cells, ts
-        k = i0 * n + i1
-        s0, s1 = 1 - t0, 1 - t1
-        return (t[k] * s0 * s1 + t[k + 1] * s0 * t1
-                + t[k + n] * t0 * s1 + t[k + n + 1] * t0 * t1)
-
     def jet(self, x):
         """Value (...,), gradient (..., dim) and Hessian (..., dim, dim) at
         points x (..., dim), from one lookup."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         d = self.spec.dim
         lead = x.shape[:-1]
-        out = self._lookup(x.reshape(-1, d)).reshape(lead + (-1,))
+        out = table_lookup(self._table, self._axis, self.spec.mesh,
+                           x.reshape(-1, d)).reshape(lead + (-1,))
         return out[..., 0], out[..., 1:1 + d], out[..., 1 + d:].reshape(lead + (d, d))
 
     def value(self, x):

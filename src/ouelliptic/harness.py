@@ -112,6 +112,21 @@ class ExperimentConfig:
             raise ConfigError("mc_cloud must be at least 8")
         if not self.fd_step > 0:
             raise ConfigError("fd_step must be positive")
+        if self.weight == "max-endpoint":
+            try:
+                modes, tails, times, eps = _weight_params(self)
+            except (ValueError, OverflowError):
+                raise ConfigError("weight_params must be finite") from None
+            if modes <= max(self.dims):
+                raise ConfigError("weight_params modes must exceed every dim")
+            if tails < 1 or times < 1:
+                raise ConfigError("weight_params tail_samples and time_points "
+                                  "must be at least 1")
+            if not eps > 0:
+                raise ConfigError("weight_params epsilon must be positive")
+        if self.weight == "quadratic" and not self.weight_params.get(
+                "coeff", 0.5) >= 0:
+            raise ConfigError("weight_params coeff must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -143,19 +158,35 @@ def _ladder_epsilon(n: int) -> float:
     return 1.0 / n      # the truncation ladder's mollification scale
 
 
+def _weight_params(cfg: ExperimentConfig) -> tuple:
+    """(modes, tail_samples, time_points, epsilon) from [weight_params],
+    with their defaults."""
+    p = cfg.weight_params
+    return (int(p.get("modes", 256)), int(p.get("tail_samples", 64)),
+            int(p.get("time_points", 256)), float(p.get("epsilon", 0.25)))
+
+
 def _mollified_weight(cfg: ExperimentConfig, n: int, eps=None) -> ConvexWeight:
     """The configured weight at dimension n, mollified at scale eps (by
-    default the config's epsilon)."""
-    p = cfg.weight_params
-    cfg_eps = float(p.get("epsilon", 0.25))
+    default the config's epsilon).
+
+    The max-endpoint weight is mollified from its one table of dimension
+    n, and the mollification is evaluated, value and subgradient in one
+    pass, once at the grid nodes: every later query reads that node
+    table.  At the nodes it is bit-identical to the mollification, so
+    the grid drift does not move; between them it differs by the
+    bilinear interpolation error of one mesh cell.
+    """
+    modes, tails, times, cfg_eps = _weight_params(cfg)
     eps = cfg_eps if eps is None else eps
     if cfg.weight != "max-endpoint":
         return galerkin.mollify(make_weight(cfg, n), eps)
     widest = max(cfg_eps, _ladder_epsilon(n))
-    return galerkin.mollify(_max_endpoint_table(
-        n, int(p.get("modes", 256)), int(p.get("tail_samples", 64)), cfg.seed,
-        int(p.get("time_points", 256)), cfg.grid_radius + widest + cfg.grid_mesh,
-        cfg.grid_mesh), eps)
+    table = _max_endpoint_table(n, modes, tails, cfg.seed, times,
+                                cfg.grid_radius + widest + cfg.grid_mesh,
+                                cfg.grid_mesh)
+    return galerkin.tabulate_weight(galerkin.mollify(table, eps),
+                                    cfg.grid_radius, cfg.grid_mesh)
 
 
 # A run needs one table per grid dim (1 and 2), shared by every scale.
@@ -617,10 +648,9 @@ def ladder_table(cfg: ExperimentConfig) -> tuple[list, list]:
 def _ladder_rung(cfg: ExperimentConfig, n: int) -> dict:
     lam = float(cfg.lambdas[0])
     f = make_test_function("tanh", 1)
-    m = int(cfg.weight_params.get("modes", 256))
+    m, _, times, _ = _weight_params(cfg)
     if cfg.weight == "max-endpoint":
-        full = wiener.max_endpoint_convex_weight(
-            m, time_points=int(cfg.weight_params.get("time_points", 256)))
+        full = wiener.max_endpoint_convex_weight(m, time_points=times)
     else:
         full = make_weight(cfg, m)
     eps = _ladder_epsilon(n)

@@ -7,6 +7,9 @@ Lipschitz constant for the gradient when the weight is differentiable
 with Lipschitz gradient, else None.  ``linear_grad`` declares a
 coordinatewise linear gradient, ``subgrad(x) == linear_grad * x``, for
 the weights that have one (zero and diagonal quadratics), else None.
+``eval_subgrad`` is an optional joint oracle returning ``(eval(x),
+subgrad(x))`` from one pass, for weights whose value and subgradient
+share their costly part (the truncated max-endpoint weight and tables).
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ class ConvexWeight:
     grad_lip: Optional[float] = None
     label: str = ""
     linear_grad: Optional[tuple[float, ...]] = None
+    eval_subgrad: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -33,6 +37,13 @@ class ConvexWeight:
         if self.linear_grad is not None and (
                 len(self.linear_grad) != self.dim or min(self.linear_grad) < 0):
             raise ValueError("linear_grad needs dim nonnegative entries")
+
+    def value_subgrad(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(eval(x), subgrad(x)): the joint oracle if declared, else the
+        two oracles one after the other."""
+        if self.eval_subgrad is not None:
+            return self.eval_subgrad(x)
+        return self.eval(x), self.subgrad(x)
 
 
 def zero_weight(dim: int) -> ConvexWeight:

@@ -154,8 +154,10 @@ def max_endpoint_truncated(n: int, modes: int = 256, samples: int = 64,
     The coordinates beyond the first n are frozen at `samples` Gaussian
     draws (the same draws galerkin.TruncatedWeight would use for this
     seed) and their path contributions are precomputed once, so each
-    evaluation costs one small matmul plus a broadcast maximum instead of
-    a full reconstruction in `modes` dimensions.  Averaging over tails
+    evaluation costs one small matmul plus a broadcast argmax instead of
+    a full reconstruction in `modes` dimensions.  The value and the
+    subgradient come from the same pass (the joint oracle eval_subgrad;
+    eval and subgrad each return one half of it).  Averaging over tails
     preserves convexity in the retained coordinates.
     """
     if not 0 < n < modes:
@@ -169,30 +171,23 @@ def max_endpoint_truncated(n: int, modes: int = 256, samples: int = 64,
     h_end = h_act[:, -1]
     chunk = max(1, 4_000_000 // (samples * (time_points + 1)))
 
-    def val(x):
+    def both(x):
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1, n)
-        out = np.empty(flat.shape[0])
+        val = np.empty(flat.shape[0])
+        grad = np.empty_like(flat)
         for lo in range(0, flat.shape[0], chunk):
             act = flat[lo:lo + chunk] @ h_act            # (b, T)
             full = act[:, None, :] + tail_paths[None]    # (b, S, T)
-            out[lo:lo + chunk] = (np.max(full, axis=-1)
-                                  + full[:, :, -1]).mean(axis=-1)
-        return out.reshape(x.shape[:-1])
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, n)
-        out = np.empty_like(flat)
-        for lo in range(0, flat.shape[0], chunk):
-            act = flat[lo:lo + chunk] @ h_act
-            full = act[:, None, :] + tail_paths[None]
             idx = np.argmax(full, axis=-1)               # (b, S)
-            out[lo:lo + chunk] = h_act.T[idx].mean(axis=1) + h_end
-        return out.reshape(x.shape)
+            top = np.take_along_axis(full, idx[..., None], axis=-1)[..., 0]
+            val[lo:lo + chunk] = (top + full[:, :, -1]).mean(axis=-1)
+            grad[lo:lo + chunk] = h_act.T[idx].mean(axis=1) + h_end
+        return val.reshape(x.shape[:-1]), grad.reshape(x.shape)
 
-    return ConvexWeight(dim=n, eval=val, subgrad=grad, grad_lip=None,
-                        label=f"max-endpoint-trunc[{n}]")
+    return ConvexWeight(dim=n, eval=lambda x: both(x)[0],
+                        subgrad=lambda x: both(x)[1], grad_lip=None,
+                        label=f"max-endpoint-trunc[{n}]", eval_subgrad=both)
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,8 @@ def test_operator_reuse_matches_fresh_solve():
 
 
 def test_grid_function_jet_matches_regular_grid_interpolator():
-    # one table lookup gives the same bits as scipy's linear interpolator
+    # one table lookup (grid.table_lookup, shared with the tabulated
+    # weights) gives the same bits as scipy's linear interpolator
     # on each field: on nodes and one ulp either side of them, on the
     # clip planes +-(R - h), between nodes and outside the box, where
     # the edge cells extrapolate
@@ -305,3 +306,13 @@ def test_grid_function_jet_matches_regular_grid_interpolator():
         assert np.array_equal(u.hessian_diag(x),
                               np.diagonal(hs, axis1=-2, axis2=-1))
         assert np.array_equal(u.jet(pts)[0], val[0])
+
+        # the shared helper on a multi-column table: each column gives
+        # the same bits as scipy's interpolator of that column alone
+        table = rng.standard_normal((ax.size ** d, 5))
+        out = grid.table_lookup(table, ax, h, pts)
+        assert out.shape == (pts.shape[0], 5)
+        for c in range(5):
+            assert np.array_equal(out[:, c], RegularGridInterpolator(
+                (ax,) * d, table[:, c].reshape((ax.size,) * d),
+                bounds_error=False, fill_value=None)(pts))

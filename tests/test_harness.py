@@ -13,6 +13,7 @@ from ouelliptic import cli, galerkin, harness, wiener
 from ouelliptic.config import default_config, load_config
 from ouelliptic.harness import ConfigError, EstimateReport, ExperimentConfig, make_row
 from ouelliptic.mc import DiffusionConfig
+from ouelliptic.weights import ConvexWeight
 
 
 TINY_INI = """[experiment]
@@ -154,6 +155,12 @@ def test_config_bad_values(tmp_path):
     {"norm_samples": 10},
     {"mc_cloud": 2},
     {"fd_step": 0.0},
+    {"weight": "max-endpoint", "weight_params": {"modes": 2}, "dims": (1, 2)},
+    {"weight": "max-endpoint", "weight_params": {"tail_samples": 0}},
+    {"weight": "max-endpoint", "weight_params": {"time_points": 0}},
+    {"weight": "max-endpoint", "weight_params": {"epsilon": 0.0}},
+    {"weight": "max-endpoint", "weight_params": {"modes": float("inf")}},
+    {"weight": "quadratic", "weight_params": {"coeff": -1.0}},
 ])
 def test_config_validation_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -521,14 +528,16 @@ def test_seed_override_changes_estimates(tiny_run):
 
 def test_each_weight_is_built_once_per_run(tmp_path, monkeypatch):
     """One max-endpoint table per grid dim serves every smoothing scale:
-    the main and domain stages' eps = 0.25 and the ladder's eps = 1/n."""
+    the main and domain stages' eps = 0.25 and the ladder's eps = 1/n.
+    Each stage reads its mollification from a node table on the grid box."""
     cfg = tmp_path / "mend.ini"
     cfg.write_text(MEND_INI)
-    calls = []
+    calls, nodes = [], []
     tabulate = galerkin.tabulate_weight
 
     def counting(inner, radius, mesh, *args, **kwargs):
-        calls.append((inner.dim, radius))
+        mollified = inner.label.startswith("mollified")
+        (nodes if mollified else calls).append((inner.dim, radius))
         return tabulate(inner, radius, mesh, *args, **kwargs)
 
     harness._max_endpoint_table.cache_clear()
@@ -539,13 +548,16 @@ def test_each_weight_is_built_once_per_run(tmp_path, monkeypatch):
     assert code == 0
     # tabulation radius is grid radius + max(0.25, 1/n) + mesh
     assert sorted(calls) == [(1, 4.25), (2, 3.75)]
+    # node tables on the grid radius: main, domain and ladder stage per dim
+    assert sorted(nodes) == [(1, 3.0)] * 3 + [(2, 3.0)] * 3
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_shared_table_serves_every_scale_identically(n):
     """The run's mollified max-endpoint weight, read from the one table of
     dimension n, equals bit for bit the one read from a table widened by
-    its own scale alone, at the config's eps and at the ladder's 1/n."""
+    its own scale alone, at the config's eps and at the ladder's 1/n;
+    both are served from a node table on the grid box."""
     radius, mesh = 3.0, 0.25
     cfg = small_cfg(weight="max-endpoint", dims=(1, 2), grid_radius=radius,
                     grid_mesh=mesh, weight_params=dict(
@@ -559,11 +571,73 @@ def test_shared_table_serves_every_scale_identically(n):
     harness._max_endpoint_table.cache_clear()
     for eps in (0.25, 1.0 / n):
         shared = harness._mollified_weight(cfg, n, eps)
-        own = galerkin.mollify(
-            galerkin.tabulate_weight(raw, radius + eps + mesh, mesh), eps)
+        own = galerkin.tabulate_weight(galerkin.mollify(
+            galerkin.tabulate_weight(raw, radius + eps + mesh, mesh), eps),
+            radius, mesh)
         for x in (nodes, cloud):
             assert np.array_equal(shared.eval(x), own.eval(x))
             assert np.array_equal(shared.subgrad(x), own.subgrad(x))
+    assert harness._max_endpoint_table.cache_info().misses == 1
+    harness._max_endpoint_table.cache_clear()
+
+
+def _scipy_served(table, radius, mesh):
+    """A tabulated weight's node values served by scipy's interpolator,
+    one per column, as tabulate_weight did before it had its own lookup."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    n = table.dim
+    half = int(round(radius / mesh))
+    ax = np.arange(-half, half + 1) * mesh
+    nodes = np.stack(np.meshgrid(*[ax] * n, indexing="ij"), -1).reshape(-1, n)
+    vals, grads = table.value_subgrad(nodes)
+    cols = [RegularGridInterpolator((ax,) * n, c.reshape((ax.size,) * n),
+                                    bounds_error=False, fill_value=None)
+            for c in [vals] + list(grads.T)]
+
+    def ev(x):
+        return cols[0](x.reshape(-1, n)).reshape(x.shape[:-1])
+
+    def sg(x):
+        flat = x.reshape(-1, n)
+        return np.stack([c(flat) for c in cols[1:]], axis=-1).reshape(x.shape)
+
+    return ConvexWeight(dim=n, eval=ev, subgrad=sg)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_node_table_matches_mollification(n):
+    """The max-endpoint weight a stage reads is the mollification of the
+    dimension's table, evaluated once at the grid nodes: bit-identical to
+    the mollification computed on the fly at GridSpec.points() (so the
+    grid drift does not move), and within c * mesh^2 of it between nodes
+    (cell centres and a clipped cloud), at the config's eps and at the
+    ladder's 1/n.  The on-the-fly reference reads the table through
+    scipy's interpolator.  Measured on this config: at most 0.24 mesh^2
+    in U and 0.72 mesh^2 in grad U."""
+    radius, mesh = 3.0, 0.25
+    cfg = small_cfg(weight="max-endpoint", dims=(1, 2), grid_radius=radius,
+                    grid_mesh=mesh, weight_params=dict(
+                        modes=16, tail_samples=4, time_points=32,
+                        epsilon=0.25))
+    nodes = harness.grid.GridSpec(dim=n, radius=radius, mesh=mesh).points()
+    ax = np.arange(-radius, radius, mesh) + mesh / 2.0
+    centres = ax[:, None] if n == 1 else np.stack(
+        np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)
+    cloud = np.random.default_rng(5).standard_normal((3000, n)) * 2.0
+    np.clip(cloud, -radius + mesh, radius - mesh, out=cloud)
+    between = np.concatenate([centres, cloud])
+    harness._max_endpoint_table.cache_clear()
+    for eps in (0.25, 1.0 / n):
+        served = harness._mollified_weight(cfg, n, eps)
+        wide = radius + max(0.25, 1.0 / n) + mesh
+        table = harness._max_endpoint_table(n, 16, 4, 0, 32, wide, mesh)
+        fly = galerkin.mollify(_scipy_served(table, wide, mesh), eps)
+        assert np.array_equal(served.eval(nodes), fly.eval(nodes))
+        assert np.array_equal(served.subgrad(nodes), fly.subgrad(nodes))
+        v, g = served.value_subgrad(between)
+        assert np.max(np.abs(v - fly.eval(between))) <= 0.5 * mesh ** 2
+        assert np.max(np.abs(g - fly.subgrad(between))) <= 2.0 * mesh ** 2
     assert harness._max_endpoint_table.cache_info().misses == 1
     harness._max_endpoint_table.cache_clear()
 
@@ -590,18 +664,26 @@ epsilon = 0.25
 
 
 @pytest.mark.parametrize("command", ["verify-estimates", "verify-domain"])
-@pytest.mark.parametrize("edit, error, passing", [
-    (("modes = 16", "modes = 2"), "need 0 < n < modes", {1}),
-    (("tail_samples = 4", "tail_samples = 0"),
-     "integer division or modulo by zero", set()),
+@pytest.mark.parametrize("fails_at, exc, error, passing", [
+    ({2}, ValueError, "need 0 < n < modes", {1}),
+    ({1, 2}, ZeroDivisionError, "integer division or modulo by zero", set()),
 ], ids=["modes-2", "no-tails"])
-def test_stage_failure_is_a_failing_row(tmp_path, command, edit, error,
-                                        passing):
-    """With modes = 2 the dimension-2 truncation cannot be built, and with
-    no tail samples neither can any other: each stage turns that into a
-    failing row, writes every artifact and exits 1 instead of raising."""
+def test_stage_failure_is_a_failing_row(tmp_path, monkeypatch, command,
+                                        fails_at, exc, error, passing):
+    """When the truncation cannot be built at dimension 2 only, or at
+    every dimension, each stage turns that into a failing row, writes
+    every artifact and exits 1 instead of raising."""
+    truncated = wiener.max_endpoint_truncated
+
+    def failing(n, *args, **kwargs):
+        if n in fails_at:
+            raise exc(error)
+        return truncated(n, *args, **kwargs)
+
+    harness._max_endpoint_table.cache_clear()
+    monkeypatch.setattr(wiener, "max_endpoint_truncated", failing)
     cfg = tmp_path / "mend.ini"
-    cfg.write_text(MEND_INI.replace(*edit))
+    cfg.write_text(MEND_INI)
     out = tmp_path / "run"
     code = cli.main([command, "--config", str(cfg), "--out", str(out),
                      "--quiet"])
@@ -624,6 +706,21 @@ def test_stage_failure_is_a_failing_row(tmp_path, command, edit, error,
     assert all(r["pass"] == "false" and r["f"] == f"error: {error}"
                for r in failed)
     assert "FAIL" in (out / "summary.txt").read_text()
+    harness._max_endpoint_table.cache_clear()
+
+
+@pytest.mark.parametrize("edit", [("modes = 16", "modes = 2"),
+                                  ("tail_samples = 4", "tail_samples = 0")],
+                         ids=["modes-2", "no-tails"])
+def test_bad_weight_params_exit_two(tmp_path, capsys, edit):
+    """The configs that used to reach the solvers and come back as
+    failing rows are config errors now: exit 2, and no run directory."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(MEND_INI.replace(*edit))
+    assert cli.main(["verify-estimates", "--config", str(cfg), "--out",
+                     str(tmp_path / "run"), "--quiet"]) == 2
+    assert "config error" in capsys.readouterr().out
+    assert not (tmp_path / "run").exists()
 
 
 def test_narrow_domain_fails_honestly(tmp_path):

@@ -6,6 +6,7 @@ from scipy.integrate import simpson
 
 from ouelliptic import galerkin, wiener
 from ouelliptic.cylinder import constant, coordinate, cos_linear
+from ouelliptic.rng import TAIL_TAG, substream
 from ouelliptic.weights import zero_weight
 
 
@@ -231,3 +232,28 @@ def test_max_endpoint_truncated_validation():
         wiener.max_endpoint_truncated(0, modes=16)
     with pytest.raises(ValueError):
         wiener.max_endpoint_truncated(16, modes=16)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_truncated_max_endpoint_joint_oracle(n):
+    """One pass gives the bits of eval and of subgrad, at any leading
+    shape; its value (the maximum read at the argmax) equals the running
+    maximum taken by np.max over the same paths, bit for bit."""
+    modes, samples, seed, times = 16, 8, 1, 64
+    w = wiener.max_endpoint_truncated(n, modes=modes, samples=samples,
+                                      seed=seed, time_points=times)
+    x = np.random.default_rng(2).standard_normal((500, n)) * 2.0
+    xs = x.reshape(5, 100, n)
+    v, g = w.eval_subgrad(xs)
+    assert v.shape == (5, 100) and g.shape == xs.shape
+    assert np.array_equal(v, w.eval(xs))
+    assert np.array_equal(g, w.subgrad(xs))
+    vv, gg = w.value_subgrad(xs)
+    assert np.array_equal(vv, v) and np.array_equal(gg, g)
+
+    hmat = wiener.WienerBasis(modes).h(np.linspace(0.0, 1.0, times + 1))
+    tails = substream(seed, TAIL_TAG, n, modes).standard_normal(
+        (samples, modes - n))
+    full = (x @ hmat[:n])[:, None, :] + (tails @ hmat[n:])[None]
+    assert np.array_equal(v.ravel(),
+                          (np.max(full, -1) + full[:, :, -1]).mean(-1))
