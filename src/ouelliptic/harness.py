@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cylinder, galerkin, grid, wiener
-from .mc import DiffusionConfig, resolvent_batch
+from .mc import DiffusionConfig, fd_jet, fd_stencil, resolvent_batch
 from .norms import sn_mean, sn_sqrt_ratio, sn_norm
 from .rng import MISC_TAG, NORM_TAG, mix64, substream
 from .weights import ConvexWeight, diagonal_quadratic_weight, zero_weight
@@ -112,13 +113,14 @@ class ExperimentConfig:
             raise ConfigError("mc_cloud must be at least 8")
         if not self.fd_step > 0:
             raise ConfigError("fd_step must be positive")
+        try:
+            modes, tails, times, eps = _weight_params(self)
+        except (ValueError, OverflowError):
+            raise ConfigError("weight_params must be finite") from None
+        # the ladder truncates every weight's master at modes, at every n <= 2
+        if modes <= max([n for n in self.dims if n <= 2], default=0):
+            raise ConfigError("weight_params modes must exceed every grid dim")
         if self.weight == "max-endpoint":
-            try:
-                modes, tails, times, eps = _weight_params(self)
-            except (ValueError, OverflowError):
-                raise ConfigError("weight_params must be finite") from None
-            if modes <= max(self.dims):
-                raise ConfigError("weight_params modes must exceed every dim")
             if tails < 1 or times < 1:
                 raise ConfigError("weight_params tail_samples and time_points "
                                   "must be at least 1")
@@ -170,37 +172,38 @@ def _mollified_weight(cfg: ExperimentConfig, n: int, eps=None) -> ConvexWeight:
     """The configured weight at dimension n, mollified at scale eps (by
     default the config's epsilon).
 
-    The max-endpoint weight is mollified from its one table of dimension
-    n, and the mollification is evaluated, value and subgradient in one
-    pass, once at the grid nodes: every later query reads that node
-    table.  At the nodes it is bit-identical to the mollification, so
-    the grid drift does not move; between them it differs by the
-    bilinear interpolation error of one mesh cell.
+    The max-endpoint weight is read from the node table of its scale.
     """
     modes, tails, times, cfg_eps = _weight_params(cfg)
     eps = cfg_eps if eps is None else eps
     if cfg.weight != "max-endpoint":
         return galerkin.mollify(make_weight(cfg, n), eps)
-    widest = max(cfg_eps, _ladder_epsilon(n))
-    table = _max_endpoint_table(n, modes, tails, cfg.seed, times,
-                                cfg.grid_radius + widest + cfg.grid_mesh,
-                                cfg.grid_mesh)
-    return galerkin.tabulate_weight(galerkin.mollify(table, eps),
-                                    cfg.grid_radius, cfg.grid_mesh)
+    return _max_endpoint_table(n, modes, tails, cfg.seed, times, cfg_eps,
+                               cfg.grid_radius, cfg.grid_mesh)[eps]
 
 
-# A run needs one table per grid dim (1 and 2), shared by every scale.
+# A run needs one entry per grid dim (1 and 2), shared by every stage.
 @functools.lru_cache(maxsize=2)
-def _max_endpoint_table(n, modes, tail_samples, seed, time_points, radius,
-                        mesh) -> ConvexWeight:
-    """Truncated max-endpoint weight at dimension n, tabulated on
-    [-radius, radius]^n: the grid box widened by the largest scale it is
-    mollified at, and one mesh.  Nodes are multiples of the mesh, so a
-    smaller scale's shifted queries meet the same cells and values as on
-    a table widened by that scale alone."""
-    raw = wiener.max_endpoint_truncated(n, modes=modes, samples=tail_samples,
-                                        seed=seed, time_points=time_points)
-    return galerkin.tabulate_weight(raw, radius, mesh)
+def _max_endpoint_table(n, modes, tail_samples, seed, time_points, eps,
+                        radius, mesh) -> dict:
+    """Node tables of the mollified max-endpoint weight at dimension n,
+    keyed by scale: the config's eps and the ladder's 1/n.
+
+    The truncated weight is tabulated once (and dropped after), on the
+    grid box widened by the larger scale and one mesh; nodes are
+    multiples of the mesh, so a smaller scale's shifted queries meet the
+    same cells and values as on a table widened by that scale alone.
+    Each scale's mollification is evaluated, value and subgradient in one
+    pass, at the grid nodes: bit-identical there, so the grid drift does
+    not move, and off by one cell's bilinear error between them.
+    """
+    scales = {eps, _ladder_epsilon(n)}
+    raw = galerkin.tabulate_weight(
+        wiener.max_endpoint_truncated(n, modes=modes, samples=tail_samples,
+                                      seed=seed, time_points=time_points),
+        radius + max(scales) + mesh, mesh)
+    return {s: galerkin.tabulate_weight(galerkin.mollify(raw, s), radius, mesh)
+            for s in sorted(scales)}
 
 
 def make_test_function(name: str, n: int) -> cylinder.CylinderFunction:
@@ -384,6 +387,50 @@ def _mc_allowance(bound: float, lam: float, cfg: ExperimentConfig,
     return allow
 
 
+def _solution_rows(cfg: ExperimentConfig, n: int, lam: float, name: str,
+                   f: cylinder.CylinderFunction, fsq, logw, jet, allowance,
+                   route: str, jet_var=(None, None, None),
+                   tail: float = 0.0) -> list:
+    """The L2, grad, hess, sup and grad_sup ratio rows of one solution.
+
+    jet = (u, |grad u|^2, ||D2 u||_HS^2) at the cloud points, which carry
+    the log importance weights logw; fsq is f^2 there.  A Monte Carlo
+    solution also passes the per-point sampling variances of the three
+    (jet_var) and the truncated tail of its time integral, which is added
+    to every standard error.  A constant f has derivatives that vanish
+    exactly, so its derivative rows are 0.  The sup rows, written when f
+    declares its sup norm, take the largest |u| and |grad u| on the cloud.
+    allowance(bound, order) is the route's allowance for a row whose
+    estimate reads derivatives of that order.
+    """
+    u, gsq, hsq = jet
+    uvar, gvar, hvar = jet_var
+    flat = f.active_dim == 0
+    # quantity, derivative order, bound, per-point value, its variance
+    table = [("L2_ratio", 0, 1.0 / lam, u * u, uvar),
+             ("grad_ratio", 1, 1.0 / math.sqrt(lam), gsq, gvar),
+             ("hess_ratio", 2, HESS_CONSTANT, hsq, hvar)]
+    if f.sup_norm:
+        table += [("sup_ratio", 0, 1.0 / lam, np.abs(u), uvar),
+                  ("grad_sup_ratio", 1, math.sqrt(math.pi / lam),
+                   np.sqrt(gsq), gvar)]
+    rows = []
+    for quantity, order, bound, vals, var in table:
+        if flat and order:
+            est, se = 0.0, 0.0
+        elif "sup" in quantity:
+            k = int(np.argmax(vals))
+            est = vals[k] / f.sup_norm
+            se = tail if var is None else math.sqrt(var[k]) / f.sup_norm + tail
+        else:
+            est, se = sn_sqrt_ratio(vals, fsq, logw, num_sq_var=var)
+            se += tail
+        rows.append(make_row(cfg.weight, n, lam, quantity, est, se, bound,
+                             allowance=allowance(bound, order),
+                             f_label=name, route=route))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # grid route
 
@@ -404,27 +451,10 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
             uv, ug, uh = grid.GridFunction(sol).jet(x)
             fv = fvals[name]
             fsq = fv * fv
-
-            def row(quantity, est, se, bound):
-                return make_row(cfg.weight, n, lam, quantity, est, se, bound,
-                                allowance=_grid_allowance(bound, cfg),
-                                f_label=name, route="grid")
-
-            flat = f.active_dim == 0    # a constant's derivatives vanish exactly
-            est, se = sn_sqrt_ratio(uv * uv, fsq, logw)
-            rows.append(row("L2_ratio", est, se, 1.0 / lam))
-            gsq, hsq = np.sum(ug * ug, -1), np.sum(uh * uh, (-2, -1))
-            est, se = (0.0, 0.0) if flat else sn_sqrt_ratio(gsq, fsq, logw)
-            rows.append(row("grad_ratio", est, se, 1.0 / math.sqrt(lam)))
-            est, se = (0.0, 0.0) if flat else sn_sqrt_ratio(hsq, fsq, logw)
-            rows.append(row("hess_ratio", est, se, HESS_CONSTANT))
-
-            if f.sup_norm:
-                rows.append(row("sup_ratio", np.max(np.abs(uv)) / f.sup_norm,
-                                0.0, 1.0 / lam))
-                gs = 0.0 if flat else np.max(np.sqrt(gsq)) / f.sup_norm
-                rows.append(row("grad_sup_ratio", gs, 0.0,
-                                math.sqrt(math.pi / lam)))
+            rows += _solution_rows(
+                cfg, n, lam, name, f, fsq, logw,
+                (uv, np.sum(ug * ug, -1), np.sum(uh * uh, (-2, -1))),
+                lambda bound, order: _grid_allowance(bound, cfg), "grid")
 
             fl2, _ = sn_norm(fsq, logw)
             for p, pv, pg in pvals:
@@ -443,115 +473,49 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
 # ---------------------------------------------------------------------------
 # Monte Carlo route
 
-def _stencil(n: int, active: int, d: float) -> np.ndarray:
-    """Start offsets: center, +-d and +-2d per active coordinate, and the
-    four-point crosses at d and 2d for the active pair."""
-    offs = [np.zeros(n)]
-    for i in range(active):
-        e = np.zeros(n)
-        e[i] = 1.0
-        offs += [d * e, -d * e, 2 * d * e, -2 * d * e]
-    if active == 2:
-        e0, e1 = np.zeros(n), np.zeros(n)
-        e0[0] = 1.0
-        e1[1] = 1.0
-        for s in (1.0, 2.0):
-            offs += [s * d * (e0 + e1), s * d * (e0 - e1),
-                     s * d * (-e0 + e1), s * d * (-e0 - e1)]
-    return np.stack(offs)
+def _path_stats(per_path):
+    """Mean over the last (path) axis and the variance of that mean."""
+    return (per_path.mean(axis=-1),
+            per_path.var(axis=-1, ddof=1) / per_path.shape[-1])
 
 
 def _mc_rows(cfg: ExperimentConfig, n: int) -> list:
-    diag = separable_diagonal(cfg, n)
-    if diag is None:
-        raise ConfigError("Monte Carlo route requires a separable weight")
     w = make_weight(cfg, n)
+    if w.linear_grad is None:
+        raise ConfigError("Monte Carlo route requires a separable weight")
     fs = [(name, make_test_function(name, n)) for name in cfg.test_functions]
     active = min(2, n, max(f.active_dim for _, f in fs) or 1)
     d = cfg.fd_step
-    offs = _stencil(n, active, d)
-    k = offs.shape[0]
+    offs = fd_stencil(n, active, d)
 
-    # stationary cloud: exact product Gaussian for diagonal weights
+    # stationary cloud: exact product Gaussian for the linear drift
     rng = substream(cfg.seed, NORM_TAG, 2, n)
-    xc = rng.standard_normal((cfg.mc_cloud, n)) / np.sqrt(1.0 + 2.0 * diag)
+    xc = rng.standard_normal((cfg.mc_cloud, n)) / np.sqrt(
+        1.0 + np.asarray(w.linear_grad))
     starts = (xc[:, None, :] + offs[None, :, :]).reshape(-1, n)
     mc_cfg = dataclasses.replace(cfg.mc, seed=int(mix64(cfg.seed, 7001, n)))
     acc, tails = resolvent_batch(w, starts, [f for _, f in fs],
                                  list(cfg.lambdas), mc_cfg)
 
-    def stats(per_path):
-        m = per_path.mean(axis=-1)
-        v = per_path.var(axis=-1, ddof=1) / per_path.shape[-1]
-        return m, v
-
     zeros = np.zeros(cfg.mc_cloud)
     rows = []
     for i, lam in enumerate(cfg.lambdas):
         for j, (name, f) in enumerate(fs):
-            a = acc[i][j].reshape(cfg.mc_cloud, k, -1)
-            tail = tails[i][j]
-            u, uvar = stats(a[:, 0])
-            grads, gvars = [], []
-            hess, hvars = [], []
-            for ii in range(active):
-                p1, m1 = a[:, 1 + 4 * ii], a[:, 2 + 4 * ii]
-                p2, m2 = a[:, 3 + 4 * ii], a[:, 4 + 4 * ii]
-                g, gv = stats((8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * d))
-                grads.append(g)
-                gvars.append(gv)
-                d1 = (p1 - 2.0 * a[:, 0] + m1) / d ** 2
-                d2 = (p2 - 2.0 * a[:, 0] + m2) / (4.0 * d ** 2)
-                h, hv = stats((4.0 * d1 - d2) / 3.0)
-                hess.append(h)
-                hvars.append(hv)
-            if active == 2:
-                base = 1 + 4 * active
-                c1 = (a[:, base] - a[:, base + 1] - a[:, base + 2]
-                      + a[:, base + 3]) / (4.0 * d ** 2)
-                c2 = (a[:, base + 4] - a[:, base + 5] - a[:, base + 6]
-                      + a[:, base + 7]) / (16.0 * d ** 2)
-                h, hv = stats((4.0 * c1 - c2) / 3.0)
-                hess.append(h)        # appears twice in the HS sum
-                hvars.append(hv)
-                hess.append(h)
-                hvars.append(hv)
+            u, grad, hess = fd_jet(
+                acc[i][j].reshape(cfg.mc_cloud, offs.shape[0], -1), active, d)
+            u, uvar = _path_stats(u)
+            grads = [_path_stats(g) for g in grad]
+            # HS sum: the diagonal, then each cross entry twice
+            hs = [_path_stats(hess[k][k]) for k in range(active)]
+            for a, b in itertools.combinations(range(active), 2):
+                hs += [_path_stats(hess[a][b])] * 2
             fv = np.asarray(f(xc), dtype=float)
-            fsq = fv * fv
-
-            def row(quantity, est, se, bound, order):
-                return make_row(cfg.weight, n, lam, quantity, est, se, bound,
-                                allowance=_mc_allowance(bound, lam, cfg, order),
-                                f_label=name, route="mc")
-
-            flat = f.active_dim == 0    # a constant's derivatives vanish exactly
-            dtail = 0.0 if flat else tail
-            est, se = sn_sqrt_ratio(u * u, fsq, zeros, num_sq_var=uvar)
-            rows.append(row("L2_ratio", est, se + tail, 1.0 / lam, 0))
-            gsq = sum(g * g for g in grads)
-            gvar = sum(gvars)
-            est, se = (0.0, 0.0) if flat else sn_sqrt_ratio(
-                gsq, fsq, zeros, num_sq_var=gvar)
-            rows.append(row("grad_ratio", est, se + dtail,
-                            1.0 / math.sqrt(lam), 1))
-            hsq = sum(h * h for h in hess)
-            hvar = sum(hvars)
-            est, se = (0.0, 0.0) if flat else sn_sqrt_ratio(
-                hsq, fsq, zeros, num_sq_var=hvar)
-            rows.append(row("hess_ratio", est, se + dtail, HESS_CONSTANT, 2))
-
-            if f.sup_norm:
-                kk = int(np.argmax(np.abs(u)))
-                rows.append(row("sup_ratio", abs(u[kk]) / f.sup_norm,
-                                math.sqrt(uvar[kk]) / f.sup_norm + tail,
-                                1.0 / lam, 0))
-                gnorm = np.sqrt(gsq)
-                kk = int(np.argmax(gnorm))
-                gse = math.sqrt(sum(gv[kk] for gv in gvars))
-                rows.append(row("grad_sup_ratio",
-                                0.0 if flat else gnorm[kk] / f.sup_norm,
-                                0.0 if flat else gse / f.sup_norm + tail,
-                                math.sqrt(math.pi / lam), 1))
+            rows += _solution_rows(
+                cfg, n, lam, name, f, fv * fv, zeros,
+                (u, sum(g * g for g, _ in grads), sum(h * h for h, _ in hs)),
+                lambda bound, order: _mc_allowance(bound, lam, cfg, order),
+                "mc", (uvar, sum(v for _, v in grads), sum(v for _, v in hs)),
+                tails[i][j])
     return rows
 
 

@@ -17,6 +17,7 @@ order, and runs from shifted starting points reuse the same noise
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -196,41 +197,71 @@ def resolvent_apply(weight: ConvexWeight, f: Callable, lam: float, xi: np.ndarra
     return MCValue.of_paths(acc[0][0][0], extra_error=tails[0][0])
 
 
+def fd_stencil(n: int, active: int, d: float) -> np.ndarray:
+    """Richardson stencil offsets, (1 + 4 active^2, n): the center, then
+    +d, -d, +2d, -2d along each of the first `active` coordinates, then
+    for each active pair i < j the crosses d(+-e_i +-e_j) and the same
+    at 2d, in the order (+,+), (+,-), (-,+), (-,-)."""
+    e = np.eye(n)
+    offs = [np.zeros(n)]
+    for i in range(active):
+        offs += [d * e[i], -d * e[i], 2 * d * e[i], -2 * d * e[i]]
+    for i, j in combinations(range(active), 2):
+        for s in (1.0, 2.0):
+            offs += [s * d * (e[i] + e[j]), s * d * (e[i] - e[j]),
+                     s * d * (-e[i] + e[j]), s * d * (-e[i] - e[j])]
+    return np.stack(offs)
+
+
+def fd_jet(vals: np.ndarray, active: int, d: float):
+    """Per-path value, gradient and Hessian from values on fd_stencil.
+
+    vals: (..., 1 + 4 active^2, paths), the stencil on the second-to-last
+    axis.  Each derivative is the Richardson combination of the central
+    differences at steps d and 2d, exact for polynomials of degree 4:
+    grad_i = (8 D_i(d) - D_i(2d)) / 12d with D_i(h) = u(+h e_i) - u(-h e_i),
+    and each Hessian entry is (4 H(d) - H(2d)) / 3 of the second
+    differences H(h) (three-point on the diagonal, four-point cross off
+    it).  Returns (u, grad, hess): grad a list of `active` arrays and hess
+    an active x active nested list with hess[i][j] is hess[j][i].
+    """
+    c = vals[..., 0, :]
+    grad = []
+    hess = [[None] * active for _ in range(active)]
+    for i in range(active):
+        p1, m1, p2, m2 = (vals[..., 1 + 4 * i + k, :] for k in range(4))
+        grad.append((8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * d))
+        d1 = (p1 - 2.0 * c + m1) / d ** 2
+        d2 = (p2 - 2.0 * c + m2) / (4.0 * d ** 2)
+        hess[i][i] = (4.0 * d1 - d2) / 3.0
+    for k, (i, j) in enumerate(combinations(range(active), 2)):
+        x = vals[..., 1 + 4 * active + 8 * k:, :]
+        c1 = (x[..., 0, :] - x[..., 1, :] - x[..., 2, :]
+              + x[..., 3, :]) / (4.0 * d ** 2)
+        c2 = (x[..., 4, :] - x[..., 5, :] - x[..., 6, :]
+              + x[..., 7, :]) / (16.0 * d ** 2)
+        hess[i][j] = hess[j][i] = (4.0 * c1 - c2) / 3.0
+    return c, grad, hess
+
+
 def resolvent_derivatives(weight: ConvexWeight, f: Callable, lam: float,
                           xi: np.ndarray, cfg: DiffusionConfig,
                           fd_step: float = 1e-2):
     """Gradient vector and Hessian matrix of R(lam) f at xi.
 
-    Common-random-number central differences: first order with step
-    fd_step, second order with the same step on the doubled stencil.
-    Returns (gradient list of MCValue, hessian (n, n) array of MCValue).
+    Common-random-number Richardson differences: central differences at
+    steps fd_step and 2 fd_step on fd_stencil(n, n, fd_step), combined by
+    fd_jet.  Returns (gradient list of MCValue, hessian (n, n) array of
+    MCValue).
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     n = xi.size
-    d = fd_step
-    e = d * np.eye(n)
-    starts = [xi]
-    for i in range(n):
-        starts += [xi + e[i], xi - e[i]]
-    pair_at = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_at[(i, j)] = len(starts)
-            starts += [xi + e[i] + e[j], xi + e[i] - e[j],
-                       xi - e[i] + e[j], xi - e[i] - e[j]]
-    acc = resolvent_batch(weight, np.array(starts), [f], [lam], cfg)[0][0][0]
-
-    grad = [MCValue.of_paths((acc[1 + 2 * i] - acc[2 + 2 * i]) / (2.0 * d))
-            for i in range(n)]
-    hess = np.empty((n, n), dtype=object)
-    for i in range(n):
-        hess[i, i] = MCValue.of_paths(
-            (acc[1 + 2 * i] - 2.0 * acc[0] + acc[2 + 2 * i]) / d ** 2)
-        for j in range(i + 1, n):
-            k = pair_at[(i, j)]
-            hess[i, j] = hess[j, i] = MCValue.of_paths(
-                (acc[k] - acc[k + 1] - acc[k + 2] + acc[k + 3]) / (4.0 * d ** 2))
-    return grad, hess
+    starts = xi + fd_stencil(n, n, fd_step)
+    acc = resolvent_batch(weight, starts, [f], [lam], cfg)[0][0][0]
+    _, grad, hess = fd_jet(acc, n, fd_step)
+    return ([MCValue.of_paths(g) for g in grad],
+            np.array([[MCValue.of_paths(h) for h in row] for row in hess],
+                     dtype=object))
 
 
 def _laplace_nodes(lam: float, k_hor: int, dt_eff: float, q: int) -> dict[int, float]:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from ouelliptic import cli, galerkin, harness, wiener
+from ouelliptic import cli, galerkin, harness, mc, wiener
 from ouelliptic.config import default_config, load_config
 from ouelliptic.harness import ConfigError, EstimateReport, ExperimentConfig, make_row
 from ouelliptic.mc import DiffusionConfig
@@ -156,6 +156,8 @@ def test_config_bad_values(tmp_path):
     {"mc_cloud": 2},
     {"fd_step": 0.0},
     {"weight": "max-endpoint", "weight_params": {"modes": 2}, "dims": (1, 2)},
+    {"weight": "energy", "weight_params": {"modes": 1}, "dims": (1, 2)},
+    {"weight": "zero", "weight_params": {"modes": 2}, "dims": (1, 2)},
     {"weight": "max-endpoint", "weight_params": {"tail_samples": 0}},
     {"weight": "max-endpoint", "weight_params": {"time_points": 0}},
     {"weight": "max-endpoint", "weight_params": {"epsilon": 0.0}},
@@ -271,14 +273,35 @@ def test_csv_float_format_round_trips():
 
 
 def test_stencil_layout():
-    s = harness._stencil(1, 1, 0.1)
+    s = mc.fd_stencil(1, 1, 0.1)
     assert s.shape == (5, 1)
     assert np.allclose(s.ravel(), [0.0, 0.1, -0.1, 0.2, -0.2])
 
-    s = harness._stencil(2, 2, 0.1)
+    s = mc.fd_stencil(2, 2, 0.1)
     assert s.shape == (17, 2)
     assert len(np.unique(s, axis=0)) == 17
     assert np.all(s[0] == 0.0)
+
+    # all three pairs of n = 3, each crossed at d then 2d
+    s = mc.fd_stencil(3, 3, 0.1)
+    assert s.shape == (37, 3)
+    assert len(np.unique(s, axis=0)) == 37
+    for i in range(3):
+        axis = s[1 + 4 * i:5 + 4 * i]
+        assert np.allclose(axis[:, i], [0.1, -0.1, 0.2, -0.2])
+        assert np.all(np.delete(axis, i, axis=1) == 0.0)
+    for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        block = s[13 + 8 * k:21 + 8 * k]
+        other = 3 - i - j
+        assert np.all(block[:, other] == 0.0)
+        signs = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+        assert np.allclose(block[:4][:, [i, j]], 0.1 * np.array(signs))
+        assert np.allclose(block[4:][:, [i, j]], 0.2 * np.array(signs))
+
+    # the harness's layout: only the first `active` coordinates move
+    s = mc.fd_stencil(4, 2, 0.1)
+    assert s.shape == (17, 4)
+    assert np.all(s[:, 2:] == 0.0)
 
 
 def test_random_probes_deterministic():
@@ -529,7 +552,8 @@ def test_seed_override_changes_estimates(tiny_run):
 def test_each_weight_is_built_once_per_run(tmp_path, monkeypatch):
     """One max-endpoint table per grid dim serves every smoothing scale:
     the main and domain stages' eps = 0.25 and the ladder's eps = 1/n.
-    Each stage reads its mollification from a node table on the grid box."""
+    Each scale's mollification is one node table on the grid box, which
+    the main and domain stages share."""
     cfg = tmp_path / "mend.ini"
     cfg.write_text(MEND_INI)
     calls, nodes = [], []
@@ -548,8 +572,8 @@ def test_each_weight_is_built_once_per_run(tmp_path, monkeypatch):
     assert code == 0
     # tabulation radius is grid radius + max(0.25, 1/n) + mesh
     assert sorted(calls) == [(1, 4.25), (2, 3.75)]
-    # node tables on the grid radius: main, domain and ladder stage per dim
-    assert sorted(nodes) == [(1, 3.0)] * 3 + [(2, 3.0)] * 3
+    # node tables on the grid radius: one per scale (0.25 and 1/n) per dim
+    assert sorted(nodes) == [(1, 3.0)] * 2 + [(2, 3.0)] * 2
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -627,11 +651,12 @@ def test_node_table_matches_mollification(n):
     cloud = np.random.default_rng(5).standard_normal((3000, n)) * 2.0
     np.clip(cloud, -radius + mesh, radius - mesh, out=cloud)
     between = np.concatenate([centres, cloud])
+    wide = radius + max(0.25, 1.0 / n) + mesh
+    table = galerkin.tabulate_weight(wiener.max_endpoint_truncated(
+        n, modes=16, samples=4, seed=0, time_points=32), wide, mesh)
     harness._max_endpoint_table.cache_clear()
     for eps in (0.25, 1.0 / n):
         served = harness._mollified_weight(cfg, n, eps)
-        wide = radius + max(0.25, 1.0 / n) + mesh
-        table = harness._max_endpoint_table(n, 16, 4, 0, 32, wide, mesh)
         fly = galerkin.mollify(_scipy_served(table, wide, mesh), eps)
         assert np.array_equal(served.eval(nodes), fly.eval(nodes))
         assert np.array_equal(served.subgrad(nodes), fly.subgrad(nodes))

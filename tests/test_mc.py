@@ -240,6 +240,50 @@ def test_resolvent_derivatives_constant():
             assert hess[i, j].mean == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("active", [1, 2, 3])
+def test_fd_jet_exact_on_quartics(active):
+    """The Richardson jet returns the exact gradient and Hessian of a
+    degree-4 polynomial, including every cross entry of 3 coordinates,
+    and exact zeros for a constant."""
+    rng = np.random.default_rng(11)
+    n, d = active + 1, 0.05
+    xi = rng.standard_normal((3, n))          # three centers, extra coord
+    coef = rng.standard_normal((active, active))
+    quart = rng.standard_normal(active)
+
+    def poly(x):
+        y = x[..., :active]
+        return (np.einsum("...i,ij,...j->...", y, coef, y) * y.sum(-1)
+                + (quart * y ** 4).sum(-1) + 2.0 * x[..., -1] ** 2)
+
+    def exact(y):
+        q = y @ coef @ y
+        s = y.sum()
+        qg = (coef + coef.T) @ y
+        grad = qg * s + q + 4.0 * quart * y ** 3
+        hess = ((coef + coef.T) * s + qg[:, None] + qg[None, :]
+                + np.diag(12.0 * quart * y ** 2))
+        return grad, hess
+
+    offs = mc.fd_stencil(n, active, d)
+    pts = xi[:, None, :] + offs[None, :, :]              # (3, K, n)
+    vals = np.stack([poly(pts), poly(pts) + 1.0], -1)    # two "paths"
+    u, grad, hess = mc.fd_jet(vals, active, d)
+    assert np.array_equal(u, vals[:, 0, :])
+    for c in range(3):
+        g_want, h_want = exact(xi[c, :active])
+        for i in range(active):
+            assert np.allclose(grad[i][c], g_want[i], rtol=0, atol=1e-8)
+            for j in range(active):
+                assert hess[i][j] is hess[j][i]
+                assert np.allclose(hess[i][j][c], h_want[i, j], rtol=0,
+                                   atol=1e-8)
+
+    _, grad, hess = mc.fd_jet(np.full((2, offs.shape[0], 5), 2.0), active, d)
+    assert all(np.all(g == 0.0) for g in grad)
+    assert all(np.all(h == 0.0) for row in hess for h in row)
+
+
 def test_resolvent_gradient_bound_tanh():
     f = lambda x: np.tanh(x[..., 0])
     f_obj = type("F", (), {"__call__": staticmethod(f), "sup_norm": 1.0})()
