@@ -1,53 +1,152 @@
-"""INI-style configuration for the verification harness.
+"""Experiment settings: which exist, their defaults, what is valid.
 
-Sections and keys (all optional; defaults shown in configs/energy.ini):
+Every default is written once: ExperimentConfig's field defaults (with
+DiffusionConfig's own for t_max and quad_nodes) and WEIGHT_PARAMS.
+Together they are the shipped configuration, which configs/energy.ini
+spells out.  A config file is INI with these sections and keys, all
+optional; an absent key keeps its default:
 
   [experiment]  weight, dims, lambdas, test_functions, seed, output_dir, route
   [mc]          dt, paths, t_max, quad_nodes, cloud, fd_step
   [grid]        radius, mesh, norm_samples
-  [weight_params]  numeric parameters handed to the weight (coeff,
-                   modes, tail_samples, time_points, epsilon); the ones
-                   the configured weight reads are range-checked
+  [weight_params]  coeff, modes, tail_samples, time_points, epsilon; the
+                   ones the configured weight reads are range-checked
 
-Lists are whitespace- or comma-separated.  Any parse or validation
-problem raises ConfigError, which the CLI maps to exit code 2.
+Lists are whitespace- or comma-separated; paths, quad_nodes, cloud,
+seed, norm_samples, modes, tail_samples and time_points are integers.
+An unknown section or key, a value that does not parse and a value that
+fails a check all raise ConfigError, which the CLI maps to exit code 2.
 """
 from __future__ import annotations
 
 import configparser
+import dataclasses
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .harness import ConfigError, ExperimentConfig
 from .mc import DiffusionConfig
 
+WEIGHT_NAMES = ("zero", "quadratic", "energy", "max-endpoint")
+TEST_FUNCTION_NAMES = ("const", "tanh", "cos", "step")
+# [weight_params] defaults; each value is read as the type of its default
+WEIGHT_PARAMS = {"coeff": 0.5, "modes": 256, "tail_samples": 64,
+                 "time_points": 256, "epsilon": 0.25}
 
-def _split(text: str) -> list:
-    return text.replace(",", " ").split()
+
+class ConfigError(ValueError):
+    """Raised for invalid experiment configuration; maps to exit code 2."""
 
 
-def _numbers(text: str, kind, what: str):
-    try:
-        return tuple(kind(tok) for tok in _split(text))
-    except ValueError:
-        raise ConfigError(f"could not parse {what}: {text!r}") from None
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Settings of one run; the defaults are the shipped configuration."""
+    weight: str = "energy"
+    dims: tuple = (1, 2, 4)
+    lambdas: tuple = (0.5, 1.0, 2.0)
+    test_functions: tuple = TEST_FUNCTION_NAMES
+    mc: DiffusionConfig = DiffusionConfig(dt=0.02, paths=2000, seed=0)
+    output_dir: str = "results"
+    seed: int = 0
+    weight_params: dict = field(default_factory=lambda: dict(WEIGHT_PARAMS))
+    grid_radius: float = 6.0
+    grid_mesh: float = 1.0 / 32.0
+    norm_samples: int = 200_000
+    mc_cloud: int = 32
+    fd_step: float = 0.05
+    route: str = "auto"
+
+    def __post_init__(self):
+        if self.weight not in WEIGHT_NAMES:
+            raise ConfigError(f"unknown weight '{self.weight}'; "
+                              f"choose from {WEIGHT_NAMES}")
+        if len(self.dims) == 0:
+            raise ConfigError("dims nonempty")
+        if any(int(n) != n or n < 1 for n in self.dims):
+            raise ConfigError("dims must be positive integers")
+        if len(self.lambdas) == 0 or any(not lam > 0 for lam in self.lambdas):
+            raise ConfigError("lambdas must be positive")
+        if len(self.test_functions) == 0:
+            raise ConfigError("need at least one test function")
+        for name in self.test_functions:
+            if name not in TEST_FUNCTION_NAMES:
+                raise ConfigError(f"unknown test function '{name}'; "
+                                  f"choose from {TEST_FUNCTION_NAMES}")
+        if self.weight == "max-endpoint" and max(self.dims) > 2:
+            raise ConfigError("max-endpoint rows need the grid solver, "
+                              "which covers dims 1 and 2 only")
+        if self.route not in ("auto", "grid", "mc"):
+            raise ConfigError("route must be auto, grid, or mc")
+        if self.route == "grid" and max(self.dims) > 2:
+            raise ConfigError("grid route covers dims 1 and 2 only")
+        if self.route == "mc" and self.weight == "max-endpoint":
+            raise ConfigError("max-endpoint is not separable; "
+                              "Monte Carlo route unavailable")
+        if not (self.grid_radius > 0 and self.grid_mesh > 0):
+            raise ConfigError("grid radius and mesh must be positive")
+        if self.norm_samples < 1000:
+            raise ConfigError("norm_samples must be at least 1000")
+        if self.mc_cloud < 8:
+            raise ConfigError("mc_cloud must be at least 8")
+        if not self.fd_step > 0:
+            raise ConfigError("fd_step must be positive")
+        try:
+            p = _weight_params(self)
+        except (ValueError, OverflowError):
+            raise ConfigError("weight_params must be finite") from None
+        # the ladder truncates every weight's master at modes, at every n <= 2
+        if p["modes"] <= max([n for n in self.dims if n <= 2], default=0):
+            raise ConfigError("weight_params modes must exceed every grid dim")
+        if self.weight == "max-endpoint":
+            if p["tail_samples"] < 1 or p["time_points"] < 1:
+                raise ConfigError("weight_params tail_samples and time_points "
+                                  "must be at least 1")
+            if not p["epsilon"] > 0:
+                raise ConfigError("weight_params epsilon must be positive")
+        if self.weight == "quadratic" and not p["coeff"] >= 0:
+            raise ConfigError("weight_params coeff must be nonnegative")
+
+
+def _weight_params(cfg: ExperimentConfig) -> dict:
+    """Every [weight_params] value of cfg, absent ones at their defaults,
+    as the type of its default."""
+    return {key: type(value)(cfg.weight_params.get(key, value))
+            for key, value in WEIGHT_PARAMS.items()}
+
+
+def _words(text: str) -> tuple:
+    return tuple(text.replace(",", " ").split())
+
+
+def _numbers(kind):
+    return lambda text: tuple(kind(tok) for tok in _words(text))
+
+
+# [section] key -> (ExperimentConfig field, or "mc." / "weight_params."
+# and the key there, parser of the INI text)
+_KEYS = {
+    "experiment": {"weight": ("weight", str), "dims": ("dims", _numbers(int)),
+                   "lambdas": ("lambdas", _numbers(float)),
+                   "test_functions": ("test_functions", _words),
+                   "seed": ("seed", int), "output_dir": ("output_dir", str),
+                   "route": ("route", str)},
+    "mc": {"dt": ("mc.dt", float), "paths": ("mc.paths", int),
+           "t_max": ("mc.t_max", float), "quad_nodes": ("mc.quad_nodes", int),
+           "cloud": ("mc_cloud", int), "fd_step": ("fd_step", float)},
+    "grid": {"radius": ("grid_radius", float), "mesh": ("grid_mesh", float),
+             "norm_samples": ("norm_samples", int)},
+    "weight_params": {key: (f"weight_params.{key}", type(value))
+                      for key, value in WEIGHT_PARAMS.items()},
+}
 
 
 def default_config() -> ExperimentConfig:
     """The shipped configuration (energy weight, n in 1/2/4)."""
-    return ExperimentConfig(
-        weight="energy",
-        dims=(1, 2, 4),
-        lambdas=(0.5, 1.0, 2.0),
-        test_functions=("const", "tanh", "cos", "step"),
-        mc=DiffusionConfig(dt=0.02, paths=2000, seed=0),
-        output_dir="results",
-        seed=0,
-    )
+    return ExperimentConfig()
 
 
 def load_config(path=None) -> ExperimentConfig:
-    """Read a config file, falling back to defaults for absent keys."""
-    base = default_config()
+    """Read a config file; absent keys keep their defaults."""
+    base = ExperimentConfig()
     if path is None:
         return base
     p = Path(path)
@@ -56,59 +155,30 @@ def load_config(path=None) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(p.read_text())
-    except configparser.Error as e:
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except configparser.Error as e:      # interpolation errors included
         raise ConfigError(f"malformed config: {e}") from None
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
 
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    mc = parser["mc"] if parser.has_section("mc") else {}
-    gr = parser["grid"] if parser.has_section("grid") else {}
-    wp = parser["weight_params"] if parser.has_section("weight_params") else {}
-
-    def num(section, key, kind, fallback):
-        if key not in section:
-            return fallback
-        try:
-            return kind(section[key])
-        except ValueError:
-            raise ConfigError(f"bad value for {key}: {section[key]!r}") from None
-
+    values = {"": {}, "mc": {}, "weight_params": dict(base.weight_params)}
+    for section, items in sections.items():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, text in items:
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            name, parse = _KEYS[section][key]
+            where, _, attr = name.rpartition(".")
+            try:
+                values[where][attr] = parse(text)
+            except ValueError:
+                raise ConfigError(f"bad value for {key} in [{section}]: "
+                                  f"{text!r}") from None
     try:
-        mc_cfg = DiffusionConfig(
-            dt=num(mc, "dt", float, base.mc.dt),
-            paths=num(mc, "paths", int, base.mc.paths),
-            seed=0,
-            t_max=num(mc, "t_max", float, base.mc.t_max),
-            quad_nodes=num(mc, "quad_nodes", int, base.mc.quad_nodes),
-        )
+        mc = dataclasses.replace(base.mc, **values["mc"])
     except ValueError as e:
         raise ConfigError(str(e)) from None
-
-    params = dict(base.weight_params)
-    for key in wp:
-        try:
-            params[key] = float(wp[key])
-        except ValueError:
-            raise ConfigError(f"bad weight parameter {key}: {wp[key]!r}") from None
-
-    dims = (_numbers(exp["dims"], int, "dims") if "dims" in exp else base.dims)
-    lambdas = (_numbers(exp["lambdas"], float, "lambdas")
-               if "lambdas" in exp else base.lambdas)
-    tfs = (tuple(_split(exp["test_functions"]))
-           if "test_functions" in exp else base.test_functions)
-
-    return ExperimentConfig(
-        weight=exp.get("weight", base.weight),
-        dims=dims,
-        lambdas=lambdas,
-        test_functions=tfs,
-        mc=mc_cfg,
-        output_dir=exp.get("output_dir", base.output_dir),
-        seed=num(exp, "seed", int, base.seed),
-        weight_params=params,
-        grid_radius=num(gr, "radius", float, base.grid_radius),
-        grid_mesh=num(gr, "mesh", float, base.grid_mesh),
-        norm_samples=num(gr, "norm_samples", int, base.norm_samples),
-        mc_cloud=num(mc, "cloud", int, base.mc_cloud),
-        fd_step=num(mc, "fd_step", float, base.fd_step),
-        route=exp.get("route", base.route),
-    )
+    return dataclasses.replace(base, mc=mc,
+                               weight_params=values["weight_params"],
+                               **values[""])

@@ -35,21 +35,22 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import cylinder, galerkin, grid, wiener
-from .mc import DiffusionConfig, fd_jet, fd_stencil, resolvent_batch
+from .config import (ConfigError, ExperimentConfig, _weight_params,
+                     load_config)
+from .config import TEST_FUNCTION_NAMES  # noqa: F401  (the CLI reads it here)
+from .mc import fd_jet, fd_stencil, resolvent_batch
 from .norms import sn_mean, sn_sqrt_ratio, sn_norm
 from .rng import MISC_TAG, NORM_TAG, mix64, substream
 from .weights import ConvexWeight, diagonal_quadratic_weight, zero_weight
 
 DOMAIN_CONSTANT = 2.0 + math.sqrt(2.0)
 HESS_CONSTANT = math.sqrt(2.0)
-WEIGHT_NAMES = ("zero", "quadratic", "energy", "max-endpoint")
-TEST_FUNCTION_NAMES = ("const", "tanh", "cos", "step")
 
 _FD_REL = 0.02          # residual relative error of Richardson stencils
 _EM_REL = 1.0           # Euler weak bias ~ dt * (1 + 1/lam) per unit bound;
@@ -58,89 +59,15 @@ _WEAK_COEF = 25.0       # weak-identity allowance in units of mesh^2
 _LADDER_SAMPLES = 20_000
 
 
-class ConfigError(ValueError):
-    """Raised for invalid experiment configuration; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    weight: str
-    dims: tuple
-    lambdas: tuple
-    test_functions: tuple
-    mc: DiffusionConfig
-    output_dir: str
-    seed: int
-    weight_params: dict = field(default_factory=dict)
-    grid_radius: float = 6.0
-    grid_mesh: float = 1.0 / 32.0
-    norm_samples: int = 200_000
-    mc_cloud: int = 32
-    fd_step: float = 0.05
-    route: str = "auto"
-
-    def __post_init__(self):
-        if self.weight not in WEIGHT_NAMES:
-            raise ConfigError(f"unknown weight '{self.weight}'; "
-                              f"choose from {WEIGHT_NAMES}")
-        if len(self.dims) == 0:
-            raise ConfigError("dims nonempty")
-        if any(int(n) != n or n < 1 for n in self.dims):
-            raise ConfigError("dims must be positive integers")
-        if len(self.lambdas) == 0 or any(not lam > 0 for lam in self.lambdas):
-            raise ConfigError("lambdas must be positive")
-        if len(self.test_functions) == 0:
-            raise ConfigError("need at least one test function")
-        for name in self.test_functions:
-            if name not in TEST_FUNCTION_NAMES:
-                raise ConfigError(f"unknown test function '{name}'; "
-                                  f"choose from {TEST_FUNCTION_NAMES}")
-        if self.weight == "max-endpoint" and max(self.dims) > 2:
-            raise ConfigError("max-endpoint rows need the grid solver, "
-                              "which covers dims 1 and 2 only")
-        if self.route not in ("auto", "grid", "mc"):
-            raise ConfigError("route must be auto, grid, or mc")
-        if self.route == "grid" and max(self.dims) > 2:
-            raise ConfigError("grid route covers dims 1 and 2 only")
-        if self.route == "mc" and self.weight == "max-endpoint":
-            raise ConfigError("max-endpoint is not separable; "
-                              "Monte Carlo route unavailable")
-        if not (self.grid_radius > 0 and self.grid_mesh > 0):
-            raise ConfigError("grid radius and mesh must be positive")
-        if self.norm_samples < 1000:
-            raise ConfigError("norm_samples must be at least 1000")
-        if self.mc_cloud < 8:
-            raise ConfigError("mc_cloud must be at least 8")
-        if not self.fd_step > 0:
-            raise ConfigError("fd_step must be positive")
-        try:
-            modes, tails, times, eps = _weight_params(self)
-        except (ValueError, OverflowError):
-            raise ConfigError("weight_params must be finite") from None
-        # the ladder truncates every weight's master at modes, at every n <= 2
-        if modes <= max([n for n in self.dims if n <= 2], default=0):
-            raise ConfigError("weight_params modes must exceed every grid dim")
-        if self.weight == "max-endpoint":
-            if tails < 1 or times < 1:
-                raise ConfigError("weight_params tail_samples and time_points "
-                                  "must be at least 1")
-            if not eps > 0:
-                raise ConfigError("weight_params epsilon must be positive")
-        if self.weight == "quadratic" and not self.weight_params.get(
-                "coeff", 0.5) >= 0:
-            raise ConfigError("weight_params coeff must be nonnegative")
-
-
 # ---------------------------------------------------------------------------
 # registries
 
 def separable_diagonal(cfg: ExperimentConfig, n: int):
     """Quadratic-form diagonal of the weight, or None if not separable."""
-    p = cfg.weight_params
     if cfg.weight == "zero":
         return np.zeros(n)
     if cfg.weight == "quadratic":
-        return np.full(n, float(p.get("coeff", 0.5)))
+        return np.full(n, _weight_params(cfg)["coeff"])
     if cfg.weight == "energy":
         return wiener.WienerBasis(n).lam.copy()
     return None
@@ -160,26 +87,14 @@ def _ladder_epsilon(n: int) -> float:
     return 1.0 / n      # the truncation ladder's mollification scale
 
 
-def _weight_params(cfg: ExperimentConfig) -> tuple:
-    """(modes, tail_samples, time_points, epsilon) from [weight_params],
-    with their defaults."""
-    p = cfg.weight_params
-    return (int(p.get("modes", 256)), int(p.get("tail_samples", 64)),
-            int(p.get("time_points", 256)), float(p.get("epsilon", 0.25)))
-
-
 def _mollified_weight(cfg: ExperimentConfig, n: int, eps=None) -> ConvexWeight:
-    """The configured weight at dimension n, mollified at scale eps (by
-    default the config's epsilon).
-
-    The max-endpoint weight is read from the node table of its scale.
-    """
-    modes, tails, times, cfg_eps = _weight_params(cfg)
-    eps = cfg_eps if eps is None else eps
-    if cfg.weight != "max-endpoint":
-        return galerkin.mollify(make_weight(cfg, n), eps)
-    return _max_endpoint_table(n, modes, tails, cfg.seed, times, cfg_eps,
-                               cfg.grid_radius, cfg.grid_mesh)[eps]
+    """The max-endpoint weight at dimension n, mollified at scale eps (by
+    default the config's epsilon), read from the node table of its scale."""
+    p = _weight_params(cfg)
+    table = _max_endpoint_table(n, p["modes"], p["tail_samples"], cfg.seed,
+                                p["time_points"], p["epsilon"],
+                                cfg.grid_radius, cfg.grid_mesh)
+    return table[p["epsilon"] if eps is None else eps]
 
 
 # A run needs one entry per grid dim (1 and 2), shared by every stage.
@@ -440,27 +355,29 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
     op = grid.assemble_operator(w, spec)
     x, logw = _cloud(cfg, w, n, 1)
     fs = [(name, make_test_function(name, n)) for name in cfg.test_functions]
-    fvals = {name: np.asarray(f(x), dtype=float) for name, f in fs}
-    probes = random_test_functions(cfg.seed, n)
-    pvals = [(p, np.asarray(p(x), dtype=float), p.gradient(x)) for p in probes]
+    # f, f^2 and ||f|| per test function; p, grad p and ||p|| per probe
+    fvals, pvals = {}, []
+    for name, f in fs:
+        fv = np.asarray(f(x), dtype=float)
+        fvals[name] = (fv, fv * fv, sn_norm(fv * fv, logw)[0])
+    for p in random_test_functions(cfg.seed, n):
+        pv = np.asarray(p(x), dtype=float)
+        pvals.append((p, pv, p.gradient(x), sn_norm(pv * pv, logw)[0]))
     rows = []
     for lam in cfg.lambdas:
         sols = grid.solve_elliptic_grid(w, [f for _, f in fs], lam, spec,
                                         operator=op)
         for (name, f), sol in zip(fs, sols):
             uv, ug, uh = grid.GridFunction(sol).jet(x)
-            fv = fvals[name]
-            fsq = fv * fv
+            fv, fsq, fl2 = fvals[name]
             rows += _solution_rows(
                 cfg, n, lam, name, f, fsq, logw,
                 (uv, np.sum(ug * ug, -1), np.sum(uh * uh, (-2, -1))),
                 lambda bound, order: _grid_allowance(bound, cfg), "grid")
 
-            fl2, _ = sn_norm(fsq, logw)
-            for p, pv, pg in pvals:
+            for p, pv, pg, pl2 in pvals:
                 integrand = lam * uv * pv + np.sum(ug * pg, -1) - fv * pv
                 resid, rse = sn_mean(integrand, logw)
-                pl2, _ = sn_norm(pv * pv, logw)
                 scale = max(fl2 * pl2, 1e-12)
                 rows.append(make_row(
                     cfg.weight, n, lam, "weak_identity",
@@ -595,9 +512,11 @@ def ladder_table(cfg: ExperimentConfig) -> tuple[list, list]:
     """Residual of the full equation along the truncation ladder.
 
     For each grid-solvable n the reduced problem is solved with the
-    mollified weight at scale eps = 1/n, and || lam V - L V - f || is
-    estimated in L^2 of the full weighted measure at the master
-    truncation; the drift gap makes it shrink as n grows.  Returns the
+    weight mollified at scale eps = 1/n (a separable weight is its own
+    mollification up to a constant, so it is used as is), and
+    || lam V - L V - f || is estimated in L^2 of the full weighted
+    measure at the master truncation; the drift gap makes it shrink as
+    n grows.  Returns the
     table and the failing report rows of the rungs that raised.
     """
     table, failed = [], []
@@ -612,13 +531,16 @@ def ladder_table(cfg: ExperimentConfig) -> tuple[list, list]:
 def _ladder_rung(cfg: ExperimentConfig, n: int) -> dict:
     lam = float(cfg.lambdas[0])
     f = make_test_function("tanh", 1)
-    m, _, times, _ = _weight_params(cfg)
+    p = _weight_params(cfg)
+    m, eps = p["modes"], _ladder_epsilon(n)
     if cfg.weight == "max-endpoint":
-        full = wiener.max_endpoint_convex_weight(m, time_points=times)
+        full = wiener.max_endpoint_convex_weight(m,
+                                                 time_points=p["time_points"])
+        w_eps = _mollified_weight(cfg, n, eps)
     else:
-        full = make_weight(cfg, m)
-    eps = _ladder_epsilon(n)
-    w_eps = _mollified_weight(cfg, n, eps)
+        # mollifying a quadratic adds only a constant (the kernel is
+        # symmetric), which the drift never reads
+        full, w_eps = make_weight(cfg, m), make_weight(cfg, n)
     spec = grid.GridSpec(dim=n, radius=cfg.grid_radius, mesh=cfg.grid_mesh)
     [sol] = grid.solve_elliptic_grid(w_eps, [f], lam, spec)
     rng = substream(cfg.seed, NORM_TAG, 4, n)
@@ -680,7 +602,8 @@ def nslope_table(cfg: ExperimentConfig, report: EstimateReport) -> list:
         mixed = len({r.route for r in rows}) > 1
         allow = 0.0
         if mixed:
-            allow = (cfg.mc.dt * (1.0 + 1.0 / lam) + 4.0 * cfg.grid_mesh ** 2) \
+            allow = (_mc_allowance(1.0, lam, cfg, 0)
+                     + _grid_allowance(1.0, cfg)) \
                 * float(np.mean(es)) / (ns.max() - ns.min())
         passed = bool(abs(slope) <= 2.0 * se + allow)
         out.append({"weight": weight, "lambda": lam, "f": f_label,
@@ -736,8 +659,6 @@ def run_experiment(config_path=None, scope: str = "all", seed=None, out=None,
     configuration errors.  Artifacts: report.json, tables/*.csv, and
     summary.txt under the output directory.
     """
-    from .config import load_config
-
     try:
         cfg = load_config(config_path)
         if seed is not None:

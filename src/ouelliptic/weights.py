@@ -91,9 +91,15 @@ def diagonal_quadratic_weight(coeffs: np.ndarray, label: str = "diag-quadratic")
     coeffs = np.asarray(coeffs, dtype=float)
     if np.any(coeffs < 0):
         raise ValueError("coefficients must be nonnegative")
+
+    def value(x):
+        sq = np.square(x, dtype=float)      # one temporary, scaled in place
+        sq *= coeffs
+        return np.sum(sq, axis=-1)
+
     return ConvexWeight(
         dim=coeffs.size,
-        eval=lambda x: np.sum(coeffs * np.square(x), axis=-1),
+        eval=value,
         subgrad=lambda x: 2.0 * coeffs * np.asarray(x, dtype=float),
         grad_lip=float(2.0 * coeffs.max()),
         label=label,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .cylinder import CylinderFunction
 from .mc import MCValue
+from .norms import sn_mean
 from .rng import substream, MISC_TAG, NORM_TAG, TAIL_TAG
 from .weights import ConvexWeight, diagonal_quadratic_weight
 
@@ -255,16 +256,12 @@ def ibp_residual(f: CylinderFunction, field: CylindricalField, weight: ConvexWei
     rng = substream(seed, NORM_TAG, n, samples)
     x = rng.standard_normal((samples, n))
     logw = -np.asarray(weight.eval(x[:, :weight.dim]), dtype=float)
-    w = np.exp(logw - logw.max())
     pairing = np.sum(f.gradient(x)[:, :field.k] * field.phi(x[:, :field.k]), axis=1)
     div = weighted_divergence(field, lambda z: np.asarray(weight.subgrad(
         np.pad(z, ((0, 0), (0, weight.dim - field.k))) if weight.dim > field.k else z
     ))[:, :field.k], x)
     g = pairing + np.asarray(f(x), dtype=float) * div
-    wm = w.mean()
-    est = float(np.sum(w * g) / np.sum(w))
-    infl = w * (g - est) / wm
-    se = float(np.std(infl, ddof=1) / np.sqrt(samples))
+    est, se = sn_mean(g, logw)
     return MCValue(mean=est, std_error=se, paths_used=samples)
 
 

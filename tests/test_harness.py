@@ -63,15 +63,8 @@ def test_shipped_config_spells_out_defaults():
 
     shipped = Path(__file__).resolve().parents[1] / "configs" / "energy.ini"
     cfg = load_config(shipped)
-    ref = default_config()
-    assert cfg.weight == ref.weight == "energy"
-    assert cfg.dims == ref.dims == (1, 2, 4)
-    assert cfg.lambdas == ref.lambdas
-    assert cfg.test_functions == ref.test_functions
-    assert cfg.mc.dt == ref.mc.dt
-    assert cfg.mc.paths == ref.mc.paths
-    assert cfg.grid_mesh == ref.grid_mesh
-    assert cfg.grid_radius == ref.grid_radius
+    assert cfg == default_config()
+    assert cfg.weight == "energy" and cfg.dims == (1, 2, 4)
     assert cfg.route == "auto"
     assert cfg.weight_params["modes"] == 256
 
@@ -780,6 +773,22 @@ def test_config_problems_exit_two(tmp_path, capsys):
     bad.write_text("[experiment]\nweight = max-endpoint\ndims = 1 2 4\n")
     assert cli.main(["verify-estimates", "--config", str(bad),
                      "--quiet"]) == 2
+
+    # misspelt sections, keys and weight parameters, a fractional integer
+    # and a bare % are named instead of falling back to the default
+    run = tmp_path / "run"
+    for text, offender in [("[weight_paramz]\nmodes = 8\n", "weight_paramz"),
+                           ("[grid]\nmeshh = 0.25\n", "meshh"),
+                           ("[weight_params]\nepsilonn = 3\n", "epsilonn"),
+                           ("[weight_params]\nmodes = 16.7\n", "16.7"),
+                           ("[experiment]\noutput_dir = a%1\n", "%1")]:
+        bad.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["verify-estimates", "--config", str(bad),
+                         "--out", str(run), "--quiet"]) == 2
+        out = capsys.readouterr().out
+        assert "config error" in out and offender in out
+        assert not run.exists()
 
 
 # ---------------------------------------------------------------------------
