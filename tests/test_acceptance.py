@@ -131,9 +131,7 @@ def test_criterion_04_mehler_equivalence():
     t0 = time.time()
     cfg = mc.DiffusionConfig(dt=1e-3, paths=100_000, seed=11)
     xi = np.array([3.0])
-    fs = [mc.MehlerFunction(kind="linear", a=np.array([1.0])),
-          mc.MehlerFunction(kind="cosine", a=np.array([1.0])),
-          mc.MehlerFunction(kind="hermite", k=2)]
+    fs = [coordinate(0), cos_linear(np.array([1.0])), cylinder.hermite(2)]
     worst_rel = 0.0
     for f in fs:
         for t in (0.25, 1.0):
@@ -153,7 +151,7 @@ def test_criterion_05_dimension_free_gradient_bound():
     cfg = mc.DiffusionConfig(dt=2e-3, paths=20_000, seed=3)
     slack = np.inf
     for n in (1, 2, 4, 8):
-        f = mc.MehlerFunction(kind="cosine", a=np.ones(n) / math.sqrt(n))
+        f = cos_linear(np.ones(n) / math.sqrt(n))
         ws = {"zero": zero_weight(n),
               "quadratic": diagonal_quadratic_weight(np.full(n, 0.5)),
               "energy": diagonal_quadratic_weight(wiener.WienerBasis(n).lam)}
@@ -174,8 +172,7 @@ def test_criterion_06_resolvent_bounds_and_hermite_scaling():
     lams = (0.5, 1.0, 2.0)
 
     # eigenfunction scaling 1/(lam + k), Monte Carlo route
-    he = [mc.MehlerFunction(kind="hermite", k=1),
-          mc.MehlerFunction(kind="hermite", k=2)]
+    he = [cylinder.hermite(1), cylinder.hermite(2)]
     he_vals = (1.5, 1.5 ** 2 - 1.0)
     acc, _ = mc.resolvent_batch(zero_weight(1), np.array([[1.5]]), he,
                                 list(lams),
@@ -204,7 +201,7 @@ def test_criterion_06_resolvent_bounds_and_hermite_scaling():
 
     # sup bounds 1/lam and sqrt(pi/lam) for a weighted problem
     w = diagonal_quadratic_weight(np.full(2, 0.5))
-    f = mc.MehlerFunction(kind="cosine", a=np.array([1.0, 1.0]) / math.sqrt(2))
+    f = cos_linear(np.array([1.0, 1.0]) / math.sqrt(2))
     pts = np.array([[0.0, 0.0], [0.8, -0.5], [-1.2, 1.0],
                     [2.0, 0.3], [-0.4, -1.6]])
     acc, tails = mc.resolvent_batch(w, pts, [f], list(lams),
@@ -228,7 +225,7 @@ def test_criterion_06_resolvent_bounds_and_hermite_scaling():
 def test_criterion_07_grid_mc_cross_validation():
     t0 = time.time()
     w = diagonal_quadratic_weight(np.array([0.5]))
-    f = mc.MehlerFunction(kind="cosine", a=np.array([1.0]))
+    f = cos_linear(np.array([1.0]))
     [sol] = grid.solve_elliptic_grid(w, [f], 1.0,
                                      grid.GridSpec(dim=1, radius=6.0,
                                                    mesh=1.0 / 64.0))

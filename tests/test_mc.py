@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from ouelliptic import mc
-from ouelliptic.cylinder import smoothed_indicator
+from ouelliptic.cylinder import (constant, coordinate, cos_linear, hermite,
+                                 smoothed_indicator, tanh_coord)
+from ouelliptic.rng import path_stream
 from ouelliptic.weights import (diagonal_quadratic_weight, huber_weight,
                                 quadratic_weight, zero_weight)
 
@@ -14,21 +16,12 @@ CFG_MID = mc.DiffusionConfig(dt=1e-3, paths=10000, seed=5)
 
 
 def test_mehler_oracle_values():
-    lin = mc.MehlerFunction(kind="linear", a=np.array([1.0]))
+    lin = coordinate(0)
     assert mc.mehler_oracle(lin, 0.0, np.array([2.0])) == pytest.approx(2.0)
-    cos = mc.MehlerFunction(kind="cosine", a=np.array([1.0]))
+    cos = cos_linear(np.array([1.0]))
     assert mc.mehler_oracle(cos, 50.0, np.array([7.0])) == pytest.approx(np.exp(-0.5), rel=1e-12)
-    he2 = mc.MehlerFunction(kind="hermite", k=2)
+    he2 = hermite(2)
     assert mc.mehler_oracle(he2, np.log(2.0), np.array([1.0])) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_mehler_function_validation():
-    with pytest.raises(ValueError):
-        mc.MehlerFunction(kind="sine", a=np.array([1.0]))
-    with pytest.raises(ValueError):
-        mc.MehlerFunction(kind="linear")
-    with pytest.raises(ValueError):
-        mc.MehlerFunction(kind="hermite")
 
 
 def test_config_validation():
@@ -104,7 +97,7 @@ def test_terminal_deterministic():
 
 
 def test_semigroup_linear_mehler():
-    f = mc.MehlerFunction(kind="linear", a=np.array([1.0]))
+    f = coordinate(0)
     xi = np.array([2.0])
     got = mc.semigroup_apply(zero_weight(1), f, 1.0, xi, CFG_MID)
     want = mc.mehler_oracle(f, 1.0, xi)
@@ -112,7 +105,7 @@ def test_semigroup_linear_mehler():
 
 
 def test_semigroup_cosine_mehler():
-    f = mc.MehlerFunction(kind="cosine", a=np.array([1.0]))
+    f = cos_linear(np.array([1.0]))
     xi = np.array([0.0])
     got = mc.semigroup_apply(zero_weight(1), f, 0.5, xi, CFG_MID)
     want = mc.mehler_oracle(f, 0.5, xi)
@@ -128,13 +121,13 @@ def test_semigroup_constant():
 
 
 def test_semigroup_requires_positive_time():
-    f = mc.MehlerFunction(kind="linear", a=np.array([1.0]))
+    f = coordinate(0)
     with pytest.raises(ValueError):
         mc.semigroup_apply(zero_weight(1), f, 0.0, np.array([1.0]), CFG_FAST)
 
 
 def test_semigroup_contraction_and_positivity():
-    cos = mc.MehlerFunction(kind="cosine", a=np.array([1.0, 0.0, 0.0, 0.0]))
+    cos = cos_linear(np.array([1.0, 0.0, 0.0, 0.0]))
     step = smoothed_indicator(0.0, 0.5)
     for t in (0.25, 1.0):
         got = mc.semigroup_apply(zero_weight(4), cos, t, np.zeros(4), CFG_FAST)
@@ -145,7 +138,7 @@ def test_semigroup_contraction_and_positivity():
 
 def test_semigroup_gradient_linear():
     # common random numbers make the linear case exact up to dt bias
-    f = mc.MehlerFunction(kind="linear", a=np.array([1.0]))
+    f = coordinate(0)
     g = mc.semigroup_gradient(zero_weight(1), f, 1.0,
                               np.array([2.0]), mc.DiffusionConfig(dt=1e-3, paths=2000, seed=5))
     assert g[0].std_error <= 1e-12
@@ -169,7 +162,7 @@ def test_semigroup_gradient_tanh_bound():
 
 
 def test_gradient_bound_dimension_free():
-    cos = mc.MehlerFunction(kind="cosine", a=np.array([1.0, 0.0, 0.0, 0.0]))
+    cos = cos_linear(np.array([1.0, 0.0, 0.0, 0.0]))
     w = quadratic_weight(np.eye(4))
     cfg = mc.DiffusionConfig(dt=2e-3, paths=3000, seed=7)
     t = 0.25
@@ -180,22 +173,21 @@ def test_gradient_bound_dimension_free():
 
 
 def test_resolvent_constant():
-    f = lambda x: np.full(x.shape[:-1], 3.0)
-    f.__dict__ = {}
+    f = constant(3.0)
     got = mc.resolvent_apply(zero_weight(1), f, 2.0, np.array([0.5]), CFG_FAST)
     assert abs(got.mean - 1.5) <= got.std_error + 1e-12
     assert got.mean == pytest.approx(1.5, rel=1e-2)
 
 
 def test_resolvent_linear_eigenfunction():
-    f = mc.MehlerFunction(kind="linear", a=np.array([1.0]))
+    f = coordinate(0)
     cfg = mc.DiffusionConfig(dt=4e-3, paths=4000, seed=5)
     got = mc.resolvent_apply(zero_weight(1), f, 1.0, np.array([2.0]), cfg)
     assert abs(got.mean - 1.0) <= 3 * got.std_error + 8e-3
 
 
 def test_resolvent_hermite_eigenfunction():
-    f = mc.MehlerFunction(kind="hermite", k=2)
+    f = hermite(2)
     cfg = mc.DiffusionConfig(dt=4e-3, paths=6000, seed=5)
     xi = np.array([1.5])
     got = mc.resolvent_apply(zero_weight(1), f, 1.0, xi, cfg)
@@ -204,14 +196,14 @@ def test_resolvent_hermite_eigenfunction():
 
 
 def test_resolvent_sup_bound():
-    f = mc.MehlerFunction(kind="cosine", a=np.array([1.0]))
+    f = cos_linear(np.array([1.0]))
     for lam in (0.5, 2.0):
         got = mc.resolvent_apply(zero_weight(1), f, lam, np.array([0.3]), CFG_FAST)
         assert abs(got.mean) <= 1.0 / lam + 3 * got.std_error
 
 
 def test_resolvent_rejects_bad_lambda():
-    f = mc.MehlerFunction(kind="linear", a=np.array([1.0]))
+    f = coordinate(0)
     w, x = zero_weight(1), np.array([0.0])
     for lam in (0.0, -1.0):
         with pytest.raises(ValueError, match="lam must be positive"):
@@ -223,7 +215,7 @@ def test_resolvent_rejects_bad_lambda():
 
 
 def test_resolvent_derivatives_linear():
-    f = mc.MehlerFunction(kind="linear", a=np.array([1.0]))
+    f = coordinate(0)
     cfg = mc.DiffusionConfig(dt=4e-3, paths=4000, seed=5)
     grad, hess = mc.resolvent_derivatives(zero_weight(1), f, 1.0, np.array([2.0]), cfg)
     assert abs(grad[0].mean - 0.5) <= 3 * grad[0].std_error + 5e-3
@@ -231,7 +223,7 @@ def test_resolvent_derivatives_linear():
 
 
 def test_resolvent_derivatives_constant():
-    f = lambda x: np.full(x.shape[:-1], 2.0)
+    f = constant(2.0)
     grad, hess = mc.resolvent_derivatives(zero_weight(2), f, 1.0, np.zeros(2), CFG_FAST)
     for g in grad:
         assert g.mean == pytest.approx(0.0)
@@ -285,17 +277,16 @@ def test_fd_jet_exact_on_quartics(active):
 
 
 def test_resolvent_gradient_bound_tanh():
-    f = lambda x: np.tanh(x[..., 0])
-    f_obj = type("F", (), {"__call__": staticmethod(f), "sup_norm": 1.0})()
+    f = tanh_coord()
     cfg = mc.DiffusionConfig(dt=4e-3, paths=4000, seed=7)
-    grad, _ = mc.resolvent_derivatives(zero_weight(1), f_obj, 1.0, np.array([0.0]), cfg)
+    grad, _ = mc.resolvent_derivatives(zero_weight(1), f, 1.0, np.array([0.0]), cfg)
     assert abs(grad[0].mean) <= np.sqrt(np.pi) + 3 * grad[0].std_error + 1e-2
 
 
 def test_resolvent_batch_shares_ensemble_across_lambdas():
     # each lam of a batch sees exactly the paths and weights of a lone call
     w = diagonal_quadratic_weight(np.full(2, 0.5))
-    f = mc.MehlerFunction(kind="cosine", a=np.array([1.0, 1.0]) / np.sqrt(2))
+    f = cos_linear(np.array([1.0, 1.0]) / np.sqrt(2))
     starts = np.array([[0.0, 0.0], [0.8, -0.5]])
     cfg = mc.DiffusionConfig(dt=4e-3, paths=500, seed=5)
     lams = [0.5, 1.0, 2.0]
@@ -311,8 +302,7 @@ def test_resolvent_batch_shares_ensemble_across_lambdas():
 def test_resolvent_batch_chunk_invariant(w, monkeypatch):
     # per-path noise streams: splitting the paths into chunks changes no bit
     starts = np.array([[0.0, 0.0], [0.8, -0.5], [-1.2, 0.3]])
-    fs = [mc.MehlerFunction(kind="cosine", a=np.array([1.0, 1.0]) / np.sqrt(2)),
-          lambda x: np.tanh(x[..., 0])]
+    fs = [cos_linear(np.array([1.0, 1.0]) / np.sqrt(2)), tanh_coord()]
     cfg = mc.DiffusionConfig(dt=0.05, paths=300, seed=11)
     acc, tails = mc.resolvent_batch(w, starts, fs, [0.5, 2.0], cfg)
     monkeypatch.setattr(mc, "_STATE_BUDGET", starts.size * 100)   # 3 chunks
@@ -323,14 +313,80 @@ def test_resolvent_batch_chunk_invariant(w, monkeypatch):
     assert tails == chunked_tails
 
 
-def test_cross_validation_grid_vs_mc():
-    from ouelliptic import cylinder, grid
+def _state_batch(w, starts, fs, lams, cfg):
+    """resolvent_batch as computed from full states: the (S, B, n) states
+    x = e^{-kappa t} start + N_t built at every observed step of the exact
+    OU transition, f evaluated on them and summed over the Laplace nodes,
+    with the tail bounds.  All steps are drawn in one noise block (fewer
+    than mc._NOISE_BLOCK)."""
+    t_hor = max(max(8.0 / lam, cfg.t_max) for lam in lams)
+    total = mc._step_count(t_hor, cfg.dt)
+    dt = t_hor / total
+    assert total <= mc._NOISE_BLOCK
+    nodes = [mc._laplace_nodes(lam, int(np.round(max(8.0 / lam, cfg.t_max) / dt)),
+                               dt, cfg.quad_nodes) for lam in lams]
+    kappa = 1.0 + np.asarray(w.linear_grad)[:, None]
+    one_step, scale = mc.ou_transition(kappa, dt)
+    n = starts.shape[1]
+    noise = np.stack([path_stream(cfg.seed, p).standard_normal((total, n))
+                      for p in range(cfg.paths)], axis=0)
+    noise = np.ascontiguousarray(noise.transpose(1, 2, 0))
+    part = np.zeros((n, cfg.paths))
+    x = np.empty((starts.shape[0], cfg.paths, n))
+    acc = [[np.zeros((starts.shape[0], cfg.paths)) for _ in fs] for _ in lams]
+    seen = [0.0 for _ in fs]
+    for k in range(total + 1):
+        if k:
+            part *= one_step
+            part += scale * noise[k - 1]
+        if not any(k in nd for nd in nodes):
+            continue
+        mean = np.exp(-kappa * (k * dt)) * starts.T
+        np.add(mean[:, :, None], part[:, None, :], out=x.transpose(2, 0, 1))
+        vals = [f(x) for f in fs]
+        seen = [max(m, np.abs(v).max()) for m, v in zip(seen, vals)]
+        for i, nd in enumerate(nodes):
+            if k in nd:
+                for j, v in enumerate(vals):
+                    acc[i][j] += nd[k] * v
+    tails = [[(m if f.sup_norm is None else f.sup_norm)
+              * np.exp(-lam * (max(nd) * dt)) / lam for f, m in zip(fs, seen)]
+             for lam, nd in zip(lams, nodes)]
+    return acc, tails
 
-    f = mc.MehlerFunction(kind="cosine", a=np.array([1.0]))
+
+def test_projected_observer_matches_states():
+    """The exact branch observes <a, X_t> per distinct start coordinate and
+    per path; from full states the sums agree bit for bit, and to roundoff
+    for the cosine, which is summed by angle addition."""
+    w = diagonal_quadratic_weight(np.array([0.5, 0.25, 1.0]))
+    xc = np.random.default_rng(3).standard_normal((4, 3))
+    starts = (xc[:, None, :] + mc.fd_stencil(3, 2, 0.05)[None]).reshape(-1, 3)
+    assert np.unique(starts[:, :1], axis=0).shape[0] == 4 * 5 < starts.shape[0]
+    exact_fs = [tanh_coord(0.8), smoothed_indicator(0.1, 0.5, coord=1),
+                constant(2.0), hermite(3, coord=2)]
+    trig_fs = [cos_linear(np.array([1.0, 1.0]) / np.sqrt(2)),
+               cos_linear(np.array([0.6, -0.8, 0.5]))]
+    lams = [0.5, 2.0]
+    cfg = mc.DiffusionConfig(dt=0.1, paths=150, seed=4)
+    acc, tails = mc.resolvent_batch(w, starts, exact_fs + trig_fs, lams, cfg)
+    want, want_tails = _state_batch(w, starts, exact_fs + trig_fs, lams, cfg)
+    assert tails == want_tails
+    for i in range(len(lams)):
+        for j in range(len(exact_fs)):
+            assert np.array_equal(acc[i][j], want[i][j])
+        for j in range(len(exact_fs), len(exact_fs) + len(trig_fs)):
+            np.testing.assert_allclose(acc[i][j], want[i][j], rtol=1e-13,
+                                       atol=1e-13 * np.abs(want[i][j]).max())
+
+
+def test_cross_validation_grid_vs_mc():
+    from ouelliptic import grid
+
+    f = cos_linear(np.array([1.0]))
     lam = 1.0
     spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 32)
-    fgrid = cylinder.cos_linear(np.array([1.0]))
-    [sol] = grid.solve_elliptic_grid(zero_weight(1), [fgrid.value], lam, spec)
+    [sol] = grid.solve_elliptic_grid(zero_weight(1), [f.value], lam, spec)
     u = grid.GridFunction(sol)
     cfg = mc.DiffusionConfig(dt=2e-3, paths=8000, seed=5)
     for xi in (0.0, 0.8, -1.2):
@@ -342,14 +398,13 @@ def test_cross_validation_grid_vs_mc():
 def test_euler_branch_huber_grid_vs_mc():
     # huber has a non-linear drift, so its paths take Euler steps; measured
     # |mc - grid| at these points is at most 0.45% of u (about 1.1 SE)
-    from ouelliptic import cylinder, grid
+    from ouelliptic import grid
 
     w = huber_weight(1)
-    f = mc.MehlerFunction(kind="cosine", a=np.array([1.0]))
+    f = cos_linear(np.array([1.0]))
     lam = 1.0
     spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 32)
-    fgrid = cylinder.cos_linear(np.array([1.0]))
-    [sol] = grid.solve_elliptic_grid(w, [fgrid.value], lam, spec)
+    [sol] = grid.solve_elliptic_grid(w, [f.value], lam, spec)
     u = grid.GridFunction(sol)
     cfg = mc.DiffusionConfig(dt=5e-3, paths=4000, seed=5)
     for xi in (0.0, 0.8, -1.2):
