@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, mc, proximal, wiener
+from .config import TEST_FUNCTION_NAMES
 from .weights import (abs_weight, diagonal_quadratic_weight, huber_weight,
                       zero_weight)
 
@@ -137,7 +138,7 @@ def main(argv=None) -> int:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--point", type=float, nargs="+", default=[1.0])
     p.add_argument("--weight", choices=_DEMO_WEIGHTS, default="zero")
-    p.add_argument("--f", choices=harness.TEST_FUNCTION_NAMES, default="cos")
+    p.add_argument("--f", choices=TEST_FUNCTION_NAMES, default="cos")
     p.add_argument("--dt", type=float, default=1e-2)
 
     p = _subcommand(subs, "resolvent", _cmd_resolvent,
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--point", type=float, nargs="+", default=[1.0])
     p.add_argument("--weight", choices=_DEMO_WEIGHTS, default="zero")
-    p.add_argument("--f", choices=harness.TEST_FUNCTION_NAMES, default="cos")
+    p.add_argument("--f", choices=TEST_FUNCTION_NAMES, default="cos")
     p.add_argument("--dt", type=float, default=1e-2)
 
     p = _subcommand(subs, "wiener-demo", _cmd_wiener_demo,

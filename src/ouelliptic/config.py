@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,8 +64,9 @@ class ExperimentConfig:
             raise ConfigError("dims nonempty")
         if any(int(n) != n or n < 1 for n in self.dims):
             raise ConfigError("dims must be positive integers")
-        if len(self.lambdas) == 0 or any(not lam > 0 for lam in self.lambdas):
-            raise ConfigError("lambdas must be positive")
+        if len(self.lambdas) == 0 or any(not 0 < lam < math.inf
+                                         for lam in self.lambdas):
+            raise ConfigError("lambdas must be positive and finite")
         if len(self.test_functions) == 0:
             raise ConfigError("need at least one test function")
         for name in self.test_functions:
@@ -81,14 +83,15 @@ class ExperimentConfig:
         if self.route == "mc" and self.weight == "max-endpoint":
             raise ConfigError("max-endpoint is not separable; "
                               "Monte Carlo route unavailable")
-        if not (self.grid_radius > 0 and self.grid_mesh > 0):
-            raise ConfigError("grid radius and mesh must be positive")
+        if not 0 < self.grid_mesh < self.grid_radius < math.inf:
+            raise ConfigError("grid mesh and radius must be finite, "
+                              "with 0 < mesh < radius")
         if self.norm_samples < 1000:
             raise ConfigError("norm_samples must be at least 1000")
         if self.mc_cloud < 8:
             raise ConfigError("mc_cloud must be at least 8")
-        if not self.fd_step > 0:
-            raise ConfigError("fd_step must be positive")
+        if not 0 < self.fd_step < math.inf:
+            raise ConfigError("fd_step must be positive and finite")
         try:
             p = _weight_params(self)
         except (ValueError, OverflowError):

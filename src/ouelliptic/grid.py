@@ -15,13 +15,12 @@ side at a given lam.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .rng import substream, MISC_TAG
 from .weights import ConvexWeight
 
 @dataclass(frozen=True)
@@ -62,15 +61,6 @@ class GridSolution:
     spec: GridSpec
     values: np.ndarray                 # (N,) or (N, N)
     gradient: np.ndarray               # values.shape + (dim,)
-    time: Optional[float] = None       # set for parabolic slices
-
-    def interior_mask(self, margin_cells: int = 2) -> np.ndarray:
-        n = self.spec.npoints
-        mask1 = np.zeros(n, dtype=bool)
-        mask1[margin_cells:n - margin_cells] = True
-        if self.spec.dim == 1:
-            return mask1
-        return np.outer(mask1, mask1)
 
 
 def _mirror(idx: np.ndarray, n: int) -> np.ndarray:
@@ -175,27 +165,6 @@ def solve_elliptic_grid(weight: ConvexWeight, fs: Sequence[Callable],
             for col in u.T]
 
 
-def solve_parabolic_grid(weight: ConvexWeight, f: Callable, horizon: float,
-                         steps: int, spec: GridSpec) -> list[GridSolution]:
-    """Implicit-Euler marching of dv/dt = L v, v(0) = f; returns all slices."""
-    if not (horizon > 0 and steps >= 1):
-        raise ValueError("need horizon > 0 and steps >= 1")
-    dt = horizon / steps
-    k = assemble_operator(weight, spec)
-    lu = spla.splu((sp.eye(k.shape[0], format="csc") + dt * k).tocsc())
-    v = np.asarray(f(spec.points()), dtype=float).ravel()
-    shape = (spec.npoints,) * spec.dim
-    out = []
-    for step in range(steps + 1):
-        if step:
-            v = lu.solve(v)
-        vv = v.reshape(shape)
-        out.append(GridSolution(spec=spec, values=vv,
-                                gradient=_grid_gradient(vv, spec),
-                                time=step * dt))
-    return out
-
-
 def apply_generator(weight: ConvexWeight, u, xi: np.ndarray) -> np.ndarray:
     """L u at xi for a function exposing gradient and hessian_diag."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
@@ -203,41 +172,6 @@ def apply_generator(weight: ConvexWeight, u, xi: np.ndarray) -> np.ndarray:
     drift = np.sum((np.atleast_2d(weight.subgrad(xi)) + xi) * u.gradient(xi), axis=-1)
     out = lap - drift
     return out[0] if out.size == 1 else out
-
-
-def lyapunov_margin(weight: ConvexWeight, radius: float, samples: int = 4096) -> float:
-    """Max of L |xi|^2 = 2n - 2<grad phi, xi> - 2|xi|^2 over the ball.
-
-    The sample cloud always contains the origin, so the unweighted case
-    attains its supremum 2n exactly.
-    """
-    n = weight.dim
-    rng = substream(0, MISC_TAG, n, samples)
-    raw = rng.standard_normal((samples, n))
-    radii = radius * rng.uniform(0, 1, samples) ** (1.0 / n)
-    norms = np.linalg.norm(raw, axis=1)
-    norms[norms == 0] = 1.0
-    pts = raw / norms[:, None] * radii[:, None]
-    pts[0] = 0.0
-    grads = np.atleast_2d(weight.subgrad(pts))
-    vals = 2.0 * n - 2.0 * np.sum(grads * pts, axis=1) - 2.0 * np.sum(pts * pts, axis=1)
-    return float(np.max(vals))
-
-
-def bernstein_monitor(slices: Sequence[GridSolution], margin_cells: int = 2) -> float:
-    """Max over positive times and interior points of |v|^2 + t |grad v|^2."""
-    best = -np.inf
-    for sol in slices:
-        if sol.time is None:
-            raise ValueError("bernstein_monitor needs time-stamped parabolic slices")
-        if sol.time <= 0:
-            continue
-        mask = sol.interior_mask(margin_cells)
-        z = sol.values ** 2 + sol.time * np.sum(sol.gradient ** 2, axis=-1)
-        best = max(best, float(np.max(z[mask])))
-    if not np.isfinite(best):
-        raise ValueError("no positive-time slices supplied")
-    return best
 
 
 def table_lookup(table: np.ndarray, axis: np.ndarray, mesh: float,

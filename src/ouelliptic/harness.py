@@ -18,9 +18,9 @@ norm sums: graph = ||u|| + ||Lu||, W22 = ||u|| + ||Du|| + ||D2u||_HS.
 A row passes when estimate <= bound + 3*std_error + allowance, where the
 allowance covers deterministic discretization bias (mesh^2 for grid
 solves; time step and finite-difference steps for Monte Carlo solves,
-whose paths take the exact transition for linear drifts, Euler
-otherwise, and dt sets the observation grid) and is reported in the CSV
-tables.  Rows whose inequality is lambda-free carry lambda = 0.
+whose paths take the exact transition of the linear drift, never an
+Euler step, with dt setting the observation grid) and is reported in the
+CSV tables.  Rows whose inequality is lambda-free carry lambda = 0.
 
 Solutions come from the finite-difference grid for n <= 2 and from
 Monte Carlo resolvents for larger n (configurable).  The Monte Carlo
@@ -43,7 +43,6 @@ import numpy as np
 from . import cylinder, galerkin, grid, wiener
 from .config import (ConfigError, ExperimentConfig, _weight_params,
                      load_config)
-from .config import TEST_FUNCTION_NAMES  # noqa: F401  (the CLI reads it here)
 from .mc import fd_jet, fd_stencil, resolvent_batch
 from .norms import sn_mean, sn_sqrt_ratio, sn_norm
 from .rng import MISC_TAG, NORM_TAG, mix64, substream

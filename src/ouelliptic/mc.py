@@ -47,8 +47,8 @@ class DiffusionConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.dt > self.t_max:
-            raise ValueError("dt must not exceed t_max")
+        if not self.dt <= self.t_max < np.inf:
+            raise ValueError("t_max must be finite and at least dt")
         if self.paths < 100:
             raise ValueError("need at least 100 paths")
         if self.quad_nodes < 2:

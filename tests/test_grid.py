@@ -1,11 +1,10 @@
-"""Grid oracle checks: generator formula, elliptic/parabolic solves,
-monitors."""
+"""Grid oracle checks: generator formula, operator structure, elliptic
+solves, node-table lookup."""
 import numpy as np
 import pytest
 
 from ouelliptic import cylinder, grid
-from ouelliptic.weights import (linear_weight, quadratic_weight, standard_family,
-                                zero_weight)
+from ouelliptic.weights import quadratic_weight, standard_family, zero_weight
 
 
 def square():
@@ -25,30 +24,6 @@ def test_apply_generator_vectorized():
     xi = np.array([[0.0], [1.0], [2.0]])
     out = grid.apply_generator(zero_weight(1), square(), xi)
     assert np.allclose(out, 2.0 - 2.0 * xi[:, 0] ** 2)
-
-
-def test_lyapunov_margin_unweighted_exact():
-    # the sample cloud contains the origin, where 2n - 2|xi|^2 peaks
-    assert grid.lyapunov_margin(zero_weight(2), 4.0) == pytest.approx(4.0, abs=1e-12)
-
-
-def test_lyapunov_margin_linear_drift():
-    m = grid.lyapunov_margin(linear_weight(np.array([2.0])), 4.0, samples=20000)
-    assert m <= 4.0 + 1e-12
-    assert m >= 3.98
-
-
-def test_lyapunov_margin_quadratic():
-    m = grid.lyapunov_margin(quadratic_weight(np.eye(1)), 4.0)
-    assert m == pytest.approx(2.0, abs=1e-12)
-
-
-def test_lyapunov_bound_over_family():
-    for dim in (1, 2):
-        for w in standard_family(dim):
-            g0 = float(np.linalg.norm(np.atleast_1d(w.subgrad(np.zeros(dim)))))
-            bound = 2.0 * dim + g0 * g0 / 2.0
-            assert grid.lyapunov_margin(w, 4.0) <= bound + 1e-10, w.label
 
 
 def interior(spec, cut):
@@ -113,6 +88,22 @@ def test_elliptic_max_principle_family():
             assert np.max(np.abs(sol.values)) <= 1.0 / 0.7 + 1e-9, w.label
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_operator_is_m_matrix(dim):
+    # off-diagonal entries <= 0 and zero row sums make lam*I + K a
+    # monotone M-matrix, so every solve is positive and contracts sup|f|;
+    # checked at a resolved mesh and at mesh 1/2, where |b| h / 2 > 1
+    # near the box edge and the drift is upwinded
+    for mesh in (1 / 32 if dim == 1 else 1 / 8, 1 / 2):
+        spec = grid.GridSpec(dim=dim, radius=6.0, mesh=mesh)
+        for w in standard_family(dim):
+            k = grid.assemble_operator(w, spec).tocoo()
+            assert np.max(k.data[k.row != k.col]) <= 0.0, (w.label, mesh)
+            row_sums = np.asarray(k.sum(axis=1)).ravel()
+            assert np.max(np.abs(row_sums)) <= 1e-12 * np.max(k.diagonal()), \
+                (w.label, mesh)
+
+
 def test_elliptic_gradient_bound():
     f = cylinder.tanh_coord()
     spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 32)
@@ -133,73 +124,6 @@ def test_grid_spec_validation():
         grid.GridSpec(dim=3, radius=2.0, mesh=0.25)
     with pytest.raises(ValueError):
         grid.GridSpec(dim=1, radius=0.1, mesh=0.25)
-
-
-def test_parabolic_constant_stays_constant():
-    spec = grid.GridSpec(dim=1, radius=4.0, mesh=1 / 16)
-    sols = grid.solve_parabolic_grid(zero_weight(1), cylinder.constant(2.0).value,
-                                     1.0, 16, spec)
-    assert len(sols) == 17
-    for s in sols:
-        assert np.max(np.abs(s.values - 2.0)) < 1e-10
-
-
-def test_parabolic_coordinate_decay():
-    spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 32)
-    sols = grid.solve_parabolic_grid(zero_weight(1), cylinder.coordinate(0).value,
-                                     1.0, 128, spec)
-    pts = spec.points()[:, 0]
-    mask = interior(spec, 3.0)
-    for s in (sols[64], sols[128]):
-        exact = np.exp(-s.time) * pts
-        assert np.max(np.abs(s.values.ravel()[mask] - exact[mask])) < 1e-2
-
-
-def test_parabolic_positivity():
-    f = cylinder.smoothed_indicator(0.0, 0.5)
-    spec = grid.GridSpec(dim=1, radius=4.0, mesh=1 / 16)
-    sols = grid.solve_parabolic_grid(zero_weight(1), f.value, 1.0, 32, spec)
-    for s in sols:
-        assert np.min(s.values) >= -1e-10
-
-
-def test_parabolic_sup_contraction():
-    f = cylinder.cos_linear(np.array([1.0]))
-    spec = grid.GridSpec(dim=1, radius=4.0, mesh=1 / 16)
-    sols = grid.solve_parabolic_grid(zero_weight(1), f.value, 1.0, 32, spec)
-    sups = [np.max(np.abs(s.values)) for s in sols]
-    for prev, nxt in zip(sups, sups[1:]):
-        assert nxt <= prev + 1e-12
-
-
-def test_parabolic_validation():
-    spec = grid.GridSpec(dim=1, radius=2.0, mesh=0.25)
-    with pytest.raises(ValueError):
-        grid.solve_parabolic_grid(zero_weight(1), cylinder.constant(1.0).value, 0.0, 4, spec)
-    with pytest.raises(ValueError):
-        grid.solve_parabolic_grid(zero_weight(1), cylinder.constant(1.0).value, 1.0, 0, spec)
-
-
-def test_bernstein_constant():
-    spec = grid.GridSpec(dim=1, radius=4.0, mesh=1 / 16)
-    sols = grid.solve_parabolic_grid(zero_weight(1), cylinder.constant(2.0).value,
-                                     0.5, 8, spec)
-    assert grid.bernstein_monitor(sols) == pytest.approx(4.0, abs=1e-9)
-
-
-def test_bernstein_tanh_bounded():
-    spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 64)
-    sols = grid.solve_parabolic_grid(zero_weight(1), cylinder.tanh_coord().value,
-                                     1.0, 32, spec)
-    m = grid.bernstein_monitor(sols)
-    assert 0.9 <= m <= 1.0 * (1.0 + 5e-2)
-
-
-def test_bernstein_requires_times():
-    spec = grid.GridSpec(dim=1, radius=2.0, mesh=0.25)
-    [sol] = grid.solve_elliptic_grid(zero_weight(1), [cylinder.constant(1.0).value], 1.0, spec)
-    with pytest.raises(ValueError):
-        grid.bernstein_monitor([sol])
 
 
 def test_grid_function_matches_nodes():

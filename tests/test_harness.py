@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from ouelliptic import cli, galerkin, harness, mc, wiener
+from ouelliptic import cli, galerkin, grid, harness, mc, wiener
 from ouelliptic.config import default_config, load_config
 from ouelliptic.harness import ConfigError, EstimateReport, ExperimentConfig, make_row
 from ouelliptic.mc import DiffusionConfig
@@ -129,6 +129,9 @@ def test_config_bad_values(tmp_path):
     p.write_text("[mc]\ndt = -0.5\n")
     with pytest.raises(ConfigError):
         load_config(p)
+    p.write_text("[mc]\nt_max = inf\n")
+    with pytest.raises(ConfigError):
+        load_config(p)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -156,6 +159,12 @@ def test_config_bad_values(tmp_path):
     {"weight": "max-endpoint", "weight_params": {"epsilon": 0.0}},
     {"weight": "max-endpoint", "weight_params": {"modes": float("inf")}},
     {"weight": "quadratic", "weight_params": {"coeff": -1.0}},
+    {"grid_radius": 6.0, "grid_mesh": 7.0},
+    {"grid_radius": 0.5, "grid_mesh": 0.5},
+    {"grid_radius": float("inf")},
+    {"grid_mesh": float("inf")},
+    {"lambdas": (1.0, float("inf"))},
+    {"fd_step": float("inf")},
 ])
 def test_config_validation_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -381,14 +390,17 @@ def test_constant_derivative_rows_are_exact_zeros():
                    for r in flat)
 
 
-def test_failed_solve_becomes_failing_row():
-    cfg = small_cfg(grid_radius=1.0, grid_mesh=2.0)
-    rep = harness.verify_main_estimates(cfg)
+def test_failed_solve_becomes_failing_row(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(grid, "solve_elliptic_grid", failing)
+    rep = harness.verify_main_estimates(small_cfg())
     assert not rep.all_pass()
     row = rep.rows[0]
     assert row.route == "failed"
     assert math.isnan(row.estimate)
-    assert row.f_label.startswith("error:")
+    assert row.f_label == "error: singular matrix"
 
 
 # ---------------------------------------------------------------------------

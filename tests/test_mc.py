@@ -30,6 +30,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         mc.DiffusionConfig(dt=9.0, paths=1000, seed=1, t_max=8.0)
     with pytest.raises(ValueError):
+        mc.DiffusionConfig(dt=1e-2, paths=1000, seed=1, t_max=np.inf)
+    with pytest.raises(ValueError):
         mc.DiffusionConfig(dt=1e-2, paths=50, seed=1)
     with pytest.raises(ValueError):
         mc.DiffusionConfig(dt=1e-2, paths=1000, seed=1, quad_nodes=1)
