@@ -96,7 +96,8 @@ def _cmd_resolvent(args) -> int:
 def _cmd_wiener_demo(args) -> int:
     basis = wiener.WienerBasis(args.modes)
     path = wiener.sample_path(basis, args.seed or 0)
-    energy, egrad = wiener.energy_weight(path)
+    energy, egrad = wiener.energy_convex_weight(args.modes).value_subgrad(
+        path.coeffs)
     mend = wiener.max_endpoint_weight(path)
     _say(args, f"KL path with {args.modes} modes, seed {args.seed or 0}")
     print(f"energy weight      {energy:.8g}   |gradient|_H "

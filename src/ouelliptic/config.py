@@ -48,7 +48,7 @@ class ExperimentConfig:
     mc: DiffusionConfig = DiffusionConfig(dt=0.02, paths=2000, seed=0)
     output_dir: str = "results"
     seed: int = 0
-    weight_params: dict = field(default_factory=lambda: dict(WEIGHT_PARAMS))
+    weight_params: dict = field(default_factory=dict)
     grid_radius: float = 6.0
     grid_mesh: float = 1.0 / 32.0
     norm_samples: int = 200_000
@@ -92,10 +92,12 @@ class ExperimentConfig:
             raise ConfigError("mc_cloud must be at least 8")
         if not 0 < self.fd_step < math.inf:
             raise ConfigError("fd_step must be positive and finite")
-        try:
-            p = _weight_params(self)
+        try:    # every key, absent ones at their defaults, typed as those
+            p = {key: type(value)(self.weight_params.get(key, value))
+                 for key, value in WEIGHT_PARAMS.items()}
         except (ValueError, OverflowError):
             raise ConfigError("weight_params must be finite") from None
+        object.__setattr__(self, "weight_params", p)
         # the ladder truncates every weight's master at modes, at every n <= 2
         if p["modes"] <= max([n for n in self.dims if n <= 2], default=0):
             raise ConfigError("weight_params modes must exceed every grid dim")
@@ -107,13 +109,6 @@ class ExperimentConfig:
                 raise ConfigError("weight_params epsilon must be positive")
         if self.weight == "quadratic" and not p["coeff"] >= 0:
             raise ConfigError("weight_params coeff must be nonnegative")
-
-
-def _weight_params(cfg: ExperimentConfig) -> dict:
-    """Every [weight_params] value of cfg, absent ones at their defaults,
-    as the type of its default."""
-    return {key: type(value)(cfg.weight_params.get(key, value))
-            for key, value in WEIGHT_PARAMS.items()}
 
 
 def _words(text: str) -> tuple:

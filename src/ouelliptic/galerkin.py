@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import beta as beta_fn
 
-from .grid import table_lookup
+from .grid import table_lookup, tensor_nodes
 from .mc import MCValue
 from .norms import sn_norm
 from .rng import NORM_TAG, TAIL_TAG, substream
@@ -249,8 +249,7 @@ def tabulate_weight(inner: ConvexWeight, radius: float, mesh: float,
         raise ValueError("tabulation is for weights of dimension 1 or 2")
     half = int(round(radius / mesh))
     ax = np.arange(-half, half + 1) * mesh
-    pts = ax[:, None] if d == 1 else np.stack(
-        np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+    pts = tensor_nodes(ax, d)
     table = np.empty((pts.shape[0], 1 + d))
     for lo in range(0, pts.shape[0], chunk):
         vals, grads = inner.value_subgrad(pts[lo:lo + chunk])

@@ -14,6 +14,7 @@ side at a given lam.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,11 +50,13 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """All grid points, shape (npoints**dim, dim), x-major."""
-        ax = self.axis()
-        if self.dim == 1:
-            return ax[:, None]
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([xx.ravel(), yy.ravel()], axis=1)
+        return tensor_nodes(self.axis(), self.dim)
+
+
+def tensor_nodes(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The tensor grid axis^dim as points (axis.size**dim, dim), x-major."""
+    return np.stack(np.meshgrid(*(axis,) * dim, indexing="ij"),
+                    axis=-1).reshape(-1, dim)
 
 
 @dataclass
@@ -71,38 +74,25 @@ def _mirror(idx: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _drift_field(weight: ConvexWeight, points: np.ndarray) -> np.ndarray:
-    """b = -(grad phi + x), the drift of the associated diffusion."""
-    return -(np.atleast_2d(weight.subgrad(points)) + points)
-
-
 def assemble_operator(weight: ConvexWeight, spec: GridSpec):
     """Sparse matrix K approximating -L on the grid (row sums zero, so
     constants are in its kernel), reusable across lam and right-hand
     sides."""
     n = spec.npoints
     h = spec.mesh
-    pts = spec.points()
-    b = _drift_field(weight, pts)
+    b = weight.drift(spec.points())
+    shape = (n,) * spec.dim
     size = n ** spec.dim
     rows, cols, vals = [], [], []
     flat = np.arange(size)
-
-    if spec.dim == 1:
-        idx = [flat]
-    else:
-        idx = [flat // n, flat % n]
+    idx = np.unravel_index(flat, shape)
 
     for d in range(spec.dim):
-        up = [i.copy() for i in idx]
-        dn = [i.copy() for i in idx]
+        up, dn = list(idx), list(idx)
         up[d] = _mirror(idx[d] + 1, n)
         dn[d] = _mirror(idx[d] - 1, n)
-        if spec.dim == 1:
-            kup, kdn = up[0], dn[0]
-        else:
-            kup = up[0] * n + up[1]
-            kdn = dn[0] * n + dn[1]
+        kup = np.ravel_multi_index(up, shape)
+        kdn = np.ravel_multi_index(dn, shape)
 
         # diffusion: -(u+ - 2u + u-)/h^2
         rows += [flat, flat, flat]
@@ -133,12 +123,8 @@ def assemble_operator(weight: ConvexWeight, spec: GridSpec):
 
 
 def _grid_gradient(values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    h = spec.mesh
-    if spec.dim == 1:
-        return np.gradient(values, h)[:, None]
-    gx = np.gradient(values, h, axis=0)
-    gy = np.gradient(values, h, axis=1)
-    return np.stack([gx, gy], axis=-1)
+    return np.stack([np.gradient(values, spec.mesh, axis=k)
+                     for k in range(spec.dim)], axis=-1)
 
 
 def solve_elliptic_grid(weight: ConvexWeight, fs: Sequence[Callable],
@@ -168,9 +154,8 @@ def solve_elliptic_grid(weight: ConvexWeight, fs: Sequence[Callable],
 def apply_generator(weight: ConvexWeight, u, xi: np.ndarray) -> np.ndarray:
     """L u at xi for a function exposing gradient and hessian_diag."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    lap = np.sum(u.hessian_diag(xi), axis=-1)
-    drift = np.sum((np.atleast_2d(weight.subgrad(xi)) + xi) * u.gradient(xi), axis=-1)
-    out = lap - drift
+    out = (np.sum(u.hessian_diag(xi), axis=-1)
+           + np.sum(weight.drift(xi) * u.gradient(xi), axis=-1))
     return out[0] if out.size == 1 else out
 
 
@@ -184,24 +169,21 @@ def table_lookup(table: np.ndarray, axis: np.ndarray, mesh: float,
     extrapolation of the edge cells outside it, reproducing
     RegularGridInterpolator(..., fill_value=None) bit for bit.
     """
-    n = axis.size
-    cells, ts = [], []
+    n, d = axis.size, x.shape[1]
+    k, pairs = 0, []
     for xk in x.T:
         # cell with axis[i] <= x < axis[i+1], edge cells extended outwards
         i = np.clip(np.floor((xk - axis[0]) / mesh), 0, n - 2).astype(np.intp)
         i -= (xk < axis[i]) & (i > 0)
         i += (xk >= axis[i + 1]) & (i < n - 2)
-        cells.append(i)
-        ts.append(((xk - axis[i]) / (axis[i + 1] - axis[i]))[:, None])
-    if x.shape[1] == 1:
-        [i], [t0] = cells, ts
-        corners = [(i, (1 - t0,)), (i + 1, (t0,))]
-    else:
-        (i0, i1), (t0, t1) = cells, ts
-        k = i0 * n + i1
-        s0, s1 = 1 - t0, 1 - t1
-        corners = [(k, (s0, s1)), (k + 1, (s0, t1)), (k + n, (t0, s1)),
-                   (k + n + 1, (t0, t1))]
+        k = k * n + i                   # flat index of the cell's first node
+        t = ((xk - axis[i]) / (axis[i + 1] - axis[i]))[:, None]
+        pairs.append((1 - t, t))
+    # corner bits (b_1..b_d): node k + sum_a b_a n^(d-1-a), weight
+    # prod_a (t_a if b_a else 1 - t_a)
+    corners = [(k + sum(b * n ** (d - 1 - a) for a, b in enumerate(bits)),
+                [pair[b] for pair, b in zip(pairs, bits)])
+               for bits in itertools.product((0, 1), repeat=d)]
     # sum over corners of row * weights, multiplied and added in place
     # in that order; np.take gathers rows about twice as fast as indexing
     out = None

@@ -41,8 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cylinder, galerkin, grid, wiener
-from .config import (ConfigError, ExperimentConfig, _weight_params,
-                     load_config)
+from .config import ConfigError, ExperimentConfig, load_config
 from .mc import fd_jet, fd_stencil, resolvent_batch
 from .norms import sn_mean, sn_sqrt_ratio, sn_norm
 from .rng import MISC_TAG, NORM_TAG, mix64, substream
@@ -66,7 +65,7 @@ def separable_diagonal(cfg: ExperimentConfig, n: int):
     if cfg.weight == "zero":
         return np.zeros(n)
     if cfg.weight == "quadratic":
-        return np.full(n, _weight_params(cfg)["coeff"])
+        return np.full(n, cfg.weight_params["coeff"])
     if cfg.weight == "energy":
         return wiener.WienerBasis(n).lam.copy()
     return None
@@ -89,7 +88,7 @@ def _ladder_epsilon(n: int) -> float:
 def _mollified_weight(cfg: ExperimentConfig, n: int, eps=None) -> ConvexWeight:
     """The max-endpoint weight at dimension n, mollified at scale eps (by
     default the config's epsilon), read from the node table of its scale."""
-    p = _weight_params(cfg)
+    p = cfg.weight_params
     table = _max_endpoint_table(n, p["modes"], p["tail_samples"], cfg.seed,
                                 p["time_points"], p["epsilon"],
                                 cfg.grid_radius, cfg.grid_mesh)
@@ -530,7 +529,7 @@ def ladder_table(cfg: ExperimentConfig) -> tuple[list, list]:
 def _ladder_rung(cfg: ExperimentConfig, n: int) -> dict:
     lam = float(cfg.lambdas[0])
     f = make_test_function("tanh", 1)
-    p = _weight_params(cfg)
+    p = cfg.weight_params
     m, eps = p["modes"], _ladder_epsilon(n)
     if cfg.weight == "max-endpoint":
         full = wiener.max_endpoint_convex_weight(m,

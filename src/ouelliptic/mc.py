@@ -70,10 +70,6 @@ class MCValue:
                    paths_used=per_path.size)
 
 
-def _drift(weight: ConvexWeight, x: np.ndarray) -> np.ndarray:
-    return -(np.asarray(weight.subgrad(x)) + x)
-
-
 def _step_count(t: float, dt: float) -> int:
     """Number of uniform steps of at most dt covering [0, t]."""
     return max(1, int(np.ceil(t / dt - 1e-12))) if t > 0 else 0
@@ -140,7 +136,7 @@ def _run_paths(weight: ConvexWeight, starts: np.ndarray, t_end: float,
                     x *= one_step
                     x += scale * noise[k]
                 else:
-                    x += dt * _drift(weight, x) + sq * noise[:, k, :]
+                    x += dt * weight.drift(x) + sq * noise[:, k, :]
                 if done in snap:
                     observer(done, np.exp(-kappa * (done * dt)) if exact else None,
                              x, sl)

@@ -45,6 +45,11 @@ class ConvexWeight:
             return self.eval_subgrad(x)
         return self.eval(x), self.subgrad(x)
 
+    def drift(self, x) -> np.ndarray:
+        """-(subgrad(x) + x), the drift of the diffusion generated by the
+        weighted Ornstein-Uhlenbeck operator."""
+        return -(np.asarray(self.subgrad(x)) + x)
+
 
 def zero_weight(dim: int) -> ConvexWeight:
     return ConvexWeight(

@@ -11,7 +11,7 @@ functions are the coordinates themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -70,23 +70,6 @@ def sample_path(basis: WienerBasis, seed: int,
     coeffs = substream(seed, MISC_TAG).standard_normal(basis.modes)
     return KLPathSample(coeffs=coeffs, grid=np.asarray(grid, dtype=float),
                         values=basis.path_values(coeffs, grid))
-
-
-def _coeffs_of(path_or_coeffs: Union[KLPathSample, np.ndarray]) -> np.ndarray:
-    if isinstance(path_or_coeffs, KLPathSample):
-        return path_or_coeffs.coeffs
-    return np.asarray(path_or_coeffs, dtype=float)
-
-
-def energy_weight(path_or_coeffs) -> tuple[float, np.ndarray]:
-    """Squared L^2 norm of the path and its gradient in the h-frame.
-
-    By Parseval the value is sum_i lam_i xi_i^2 and the gradient
-    coefficient on h_i is 2 lam_i xi_i.
-    """
-    xi = _coeffs_of(path_or_coeffs)
-    lam = WienerBasis(xi.size).lam
-    return float(np.sum(lam * xi ** 2)), 2.0 * lam * xi
 
 
 @dataclass(frozen=True)

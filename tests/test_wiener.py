@@ -69,14 +69,14 @@ def test_kl_covariance_matches_brownian():
 
 
 def test_energy_weight_values():
-    val, grad = wiener.energy_weight(np.zeros(4))
+    val, grad = wiener.energy_convex_weight(4).value_subgrad(np.zeros(4))
     assert val == 0.0
     assert np.all(grad == 0.0)
     # the path e_1 has h-frame coordinate 1/sqrt(lam_1)
     lam1 = 4.0 / np.pi ** 2
     xi = np.zeros(3)
     xi[0] = 1.0 / np.sqrt(lam1)
-    val, grad = wiener.energy_weight(xi)
+    val, grad = wiener.energy_convex_weight(3).value_subgrad(xi)
     assert val == pytest.approx(1.0, rel=1e-12)
     assert grad[0] == pytest.approx(4.0 / np.pi, rel=1e-12)
     assert grad[1] == 0.0
