@@ -271,17 +271,22 @@ def tabulate_weight(inner: ConvexWeight, radius: float, mesh: float,
 
 def perturbation_residual(v, full_weight: ConvexWeight, trunc_weight: ConvexWeight,
                           lam: float, f, points: np.ndarray) -> np.ndarray:
-    """Residual of the full elliptic equation, corrected by the drift gap.
+    """Residual of the reduced elliptic equation at full-dimensional points.
 
     v solves (or approximately solves) the reduced problem in the first
-    n = trunc_weight.dim coordinates.  At full-dimensional sample points
-    x this evaluates
+    n = trunc_weight.dim coordinates.  At sample points x this evaluates
+    the full equation's residual corrected by the drift gap,
 
         lam v - [sum_i d_ii v - sum_i (d_i U_full(x) + x_i) d_i v]
           - f - sum_i (d_i U_full(x) - d_i U_trunc(xi)) d_i v,
 
-    which collapses to the reduced-equation residual when the reduced
-    solve is exact; the result is one value per sample point.
+    in which the two d_i U_full terms cancel.  So the result, one value
+    per sample point, is the reduced-equation residual
+
+        lam v - sum_i d_ii v + sum_i (d_i U_trunc(xi) + xi_i) d_i v - f
+
+    at xi = x[..., :n], up to roundoff: it does not depend on full_weight
+    and measures only how far v is from solving the reduced problem.
     """
     points = np.asarray(points, dtype=float)
     n = trunc_weight.dim

@@ -179,9 +179,9 @@ def table_lookup(table: np.ndarray, axis: np.ndarray, mesh: float,
         k = k * n + i                   # flat index of the cell's first node
         t = ((xk - axis[i]) / (axis[i + 1] - axis[i]))[:, None]
         pairs.append((1 - t, t))
-    # corner bits (b_1..b_d): node k + sum_a b_a n^(d-1-a), weight
-    # prod_a (t_a if b_a else 1 - t_a)
-    corners = [(k + sum(b * n ** (d - 1 - a) for a, b in enumerate(bits)),
+    # corner bits in {0, 1}^d: a constant node offset from the cell's
+    # first node, and the weight prod_a (t_a if bit_a else 1 - t_a)
+    corners = [(k + np.ravel_multi_index(bits, (n,) * d),
                 [pair[b] for pair, b in zip(pairs, bits)])
                for bits in itertools.product((0, 1), repeat=d)]
     # sum over corners of row * weights, multiplied and added in place

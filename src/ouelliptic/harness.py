@@ -255,37 +255,6 @@ def _cloud(cfg: ExperimentConfig, weight_n: ConvexWeight, n: int, tag: int):
     return x, -np.asarray(weight_n.eval(x), dtype=float)
 
 
-def _sum_sqrt_ratio(num_terms, den_terms, logw):
-    """Ratio of sums of L^2 norms over shared samples, with delta-method SE.
-
-    num_terms and den_terms are lists of per-sample squared-value arrays;
-    the estimate is sum_i sqrt(E nu[num_i]) / sum_j sqrt(E nu[den_j]).
-    Terms that vanish identically contribute nothing.
-    """
-    w = np.exp(logw - np.max(logw))
-    wm = w.mean()
-    size = w.size
-
-    def side(terms):
-        total, infl = 0.0, np.zeros(size)
-        for sq in terms:
-            m = float(np.sum(w * sq) / np.sum(w))
-            if m <= 0.0:
-                continue
-            total += math.sqrt(m)
-            infl = infl + (w * (sq - m) / wm) / (2.0 * math.sqrt(m))
-        return total, infl
-
-    a, infl_a = side(num_terms)
-    b, infl_b = side(den_terms)
-    if b == 0.0:
-        return math.nan, math.inf
-    ratio = a / b
-    infl = infl_a / b - a * infl_b / b ** 2
-    se = float(np.std(infl, ddof=1) / math.sqrt(size))
-    return ratio, se
-
-
 def _grid_allowance(bound: float, cfg: ExperimentConfig) -> float:
     return 4.0 * cfg.grid_mesh ** 2 * bound
 
@@ -488,15 +457,14 @@ def _domain_rows(cfg: ExperimentConfig, n: int) -> list:
         uh = u.hessian(x)
         lu = grid.apply_generator(w, u, x)
         usq = uv * uv
-        lsq = lu * lu
-        gsq = np.sum(ug * ug, -1)
-        hsq = np.sum(uh * uh, (-2, -1))
+        graph = np.stack([usq, lu * lu])
+        w22 = np.stack([usq, np.sum(ug * ug, -1), np.sum(uh * uh, (-2, -1))])
 
-        est, se = _sum_sqrt_ratio([usq, lsq], [usq, gsq, hsq], logw)
+        est, se = sn_sqrt_ratio(graph, w22, logw)
         rows.append(make_row(cfg.weight, n, 0.0, "domain_equiv_ratio",
                              est, se, 1.0, f_label=f"{name}|graph/W22",
                              route="analytic"))
-        est, se = _sum_sqrt_ratio([usq, gsq, hsq], [usq, lsq], logw)
+        est, se = sn_sqrt_ratio(w22, graph, logw)
         rows.append(make_row(cfg.weight, n, 0.0, "domain_equiv_ratio",
                              est, se, DOMAIN_CONSTANT,
                              f_label=f"{name}|W22/graph", route="analytic"))

@@ -8,6 +8,8 @@ such integrals over shared samples.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -23,40 +25,51 @@ def sn_mean(values: np.ndarray, logw: np.ndarray) -> tuple[float, float]:
 
 def sn_sqrt_ratio(num_sq: np.ndarray, den_sq: np.ndarray, logw: np.ndarray,
                   num_sq_var: np.ndarray | None = None) -> tuple[float, float]:
-    """sqrt(E_nu[num_sq] / E_nu[den_sq]) with a delta-method standard error.
+    """sum_i sqrt(E_nu[num_sq_i]) / sum_j sqrt(E_nu[den_sq_j]), a ratio of
+    sums of L^2(nu) norms, with a delta-method standard error.
 
-    num_sq and den_sq are per-sample squared integrand values on shared
-    sample points.  When num_sq carries extra inner Monte Carlo noise,
-    pass its per-sample variance in num_sq_var: the mean inner variance is
+    num_sq and den_sq hold per-sample squared integrand values on shared
+    sample points, one row per term: (terms, samples), or (samples,) for
+    one term.  A term whose mean is <= 0 contributes nothing.  When a
+    one-term numerator carries extra inner Monte Carlo noise, pass its
+    per-sample variance in num_sq_var: the mean inner variance is
     subtracted from the numerator (debiasing the square) and propagated
-    into the reported error.
+    into the reported error.  A vanishing numerator gives (0, inf), a
+    vanishing denominator (nan, inf).
     """
-    num_sq = np.asarray(num_sq, dtype=float)
-    den_sq = np.asarray(den_sq, dtype=float)
+    num_sq = np.atleast_2d(np.asarray(num_sq, dtype=float))
+    den_sq = np.atleast_2d(np.asarray(den_sq, dtype=float))
     w = np.exp(logw - np.max(logw))
-    sw = np.sum(w)
-    a = float(np.sum(w * num_sq) / sw)
-    b = float(np.sum(w * den_sq) / sw)
-    inner_se_a = 0.0
+    sw, wm, q = np.sum(w), w.mean(), w.size
+    bias = inner_se = 0.0
     if num_sq_var is not None:
+        if num_sq.shape[0] != 1:
+            raise ValueError("num_sq_var needs a one-term numerator")
         bias = float(np.sum(w * num_sq_var) / sw)
-        a = a - bias
-        inner_se_a = bias / np.sqrt(num_sq_var.size)
-    a = max(a, 0.0)
-    if b <= 0 or a == 0.0:
-        return 0.0, np.inf
-    q = num_sq.size
-    wm = w.mean()
-    infl_a = w * (num_sq - a) / wm
-    infl_b = w * (den_sq - b) / wm
-    var_a = np.var(infl_a, ddof=1) / q + inner_se_a ** 2
-    var_b = np.var(infl_b, ddof=1) / q
-    cov = float(np.cov(infl_a, infl_b, ddof=1)[0, 1]) / q
-    ratio = np.sqrt(a / b)
-    # var(log ratio)/4 propagated through the square root
-    var_log = var_a / a ** 2 + var_b / b ** 2 - 2.0 * cov / (a * b)
-    se = 0.5 * ratio * np.sqrt(max(var_log, 0.0))
-    return float(ratio), float(se)
+        inner_se = bias / math.sqrt(np.size(num_sq_var))
+
+    def side(terms, bias=0.0):
+        """Sum of the terms' norms and its influence function."""
+        total, infl = 0.0, np.zeros(q)
+        for sq in terms:
+            m = float(np.sum(w * sq) / sw) - bias
+            if m <= 0.0:
+                continue
+            total += math.sqrt(m)
+            infl = infl + (w * (sq - m) / wm) / (2.0 * math.sqrt(m))
+        return total, infl
+
+    a, infl_a = side(num_sq, bias)
+    b, infl_b = side(den_sq)
+    if b == 0.0:
+        return math.nan, math.inf
+    if a == 0.0:
+        return 0.0, math.inf
+    infl = infl_a / b - a * infl_b / b ** 2
+    # the inner noise enters through d(sqrt(m) / b) / dm = 1 / (2 a b)
+    se = math.hypot(float(np.std(infl, ddof=1)) / math.sqrt(q),
+                    inner_se / (2.0 * a * b))
+    return a / b, se
 
 
 def sn_norm(values_sq: np.ndarray, logw: np.ndarray) -> tuple[float, float]:

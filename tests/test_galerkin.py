@@ -187,38 +187,6 @@ def test_perturbation_residual_constant_solution():
     assert np.max(np.abs(res)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_perturbation_residual_grid_solution():
-    # reduced solve at n=2 with the mollified truncation, checked against
-    # the full-dimensional equation with the drift-gap correction
-    full = wiener.energy_convex_weight(16)
-    tw = galerkin.TruncatedWeight(full, 2, samples=200, seed=5).as_convex_weight()
-    mol = galerkin.mollify(tw, 0.5)
-    f = cylinder.cos_linear(np.array([1.0, 0.4]))
-    lam = 1.0
-    spec = grid.GridSpec(dim=2, radius=6.0, mesh=1 / 16)
-    [sol] = grid.solve_elliptic_grid(mol, [f.value], lam, spec)
-    v = grid.GridFunction(sol)
-    rng = np.random.default_rng(3)
-    pts = rng.standard_normal((100, 16))
-    pts[:, :2] = np.clip(pts[:, :2], -2.5, 2.5)
-    res = galerkin.perturbation_residual(v, full, mol, lam, f.value, pts)
-    assert np.max(np.abs(res)) <= 5e-2
-
-
-def test_gradient_correction_energy_closed_form():
-    full = wiener.energy_convex_weight(64)
-    lam = wiener.WienerBasis(64).lam
-    prev = np.inf
-    for n in (1, 2, 4, 8):
-        tw = galerkin.TruncatedWeight(full, n, samples=100)
-        got = galerkin.gradient_correction_norm(full, tw.as_convex_weight(),
-                                                samples=20000, seed=4)
-        oracle = float(np.sqrt(np.sum(4.0 * lam[n:] ** 2 / (1.0 + 2.0 * lam[n:]))))
-        assert abs(got.mean - oracle) <= 3 * got.std_error + 5e-4
-        assert got.mean < prev
-        prev = got.mean
-
-
 def test_gradient_correction_identical_weights():
     w = wiener.energy_convex_weight(4)
     got = galerkin.gradient_correction_norm(w, w, samples=2000, seed=1)

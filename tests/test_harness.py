@@ -317,12 +317,6 @@ def test_random_probes_deterministic():
         assert np.array_equal(fa(x), fb(x))
 
 
-def test_sum_sqrt_ratio_zero_denominator():
-    est, se = harness._sum_sqrt_ratio([np.ones(50)], [np.zeros(50)],
-                                      np.zeros(50))
-    assert math.isnan(est) and math.isinf(se)
-
-
 # ---------------------------------------------------------------------------
 # domain rows
 
