@@ -322,33 +322,34 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
     op = grid.assemble_operator(w, spec)
     x, logw = _cloud(cfg, w, n, 1)
     fs = [(name, make_test_function(name, n)) for name in cfg.test_functions]
-    # f, f^2 and ||f|| per test function; p, grad p and ||p|| per probe
-    fvals, pvals = {}, []
-    for name, f in fs:
-        fv = np.asarray(f(x), dtype=float)
-        fvals[name] = (fv, fv * fv, sn_norm(fv * fv, logw)[0])
-    for p in random_test_functions(cfg.seed, n):
-        pv = np.asarray(p(x), dtype=float)
-        pvals.append((p, pv, p.gradient(x), sn_norm(pv * pv, logw)[0]))
+    probes = random_test_functions(cfg.seed, n)
+    # f (tests, points) and p (probes, points) on the cloud, with their
+    # L2 norms; grad p (probes, points, n)
+    fv = np.stack([np.asarray(f(x), dtype=float) for _, f in fs])
+    fsq = fv * fv
+    fl2 = np.sqrt(np.maximum(sn_mean(fsq, logw)[0], 0.0))
+    pv = np.stack([np.asarray(p(x), dtype=float) for p in probes])
+    pg = np.stack([p.gradient(x) for p in probes])
+    pl2 = np.sqrt(np.maximum(sn_mean(pv * pv, logw)[0], 0.0))
     rows = []
     for lam in cfg.lambdas:
         sols = grid.solve_elliptic_grid(w, [f for _, f in fs], lam, spec,
                                         operator=op)
-        for (name, f), sol in zip(fs, sols):
+        for i, ((name, f), sol) in enumerate(zip(fs, sols)):
             uv, ug, uh = grid.GridFunction(sol).jet(x)
-            fv, fsq, fl2 = fvals[name]
             rows += _solution_rows(
-                cfg, n, lam, name, f, fsq, logw,
+                cfg, n, lam, name, f, fsq[i], logw,
                 (uv, np.sum(ug * ug, -1), np.sum(uh * uh, (-2, -1))),
                 lambda bound, order: _grid_allowance(bound, cfg), "grid")
 
-            for p, pv, pg, pl2 in pvals:
-                integrand = lam * uv * pv + np.sum(ug * pg, -1) - fv * pv
-                resid, rse = sn_mean(integrand, logw)
-                scale = max(fl2 * pl2, 1e-12)
+            # the weak identity against every probe, one row per probe
+            integrand = lam * uv * pv + np.sum(ug * pg, -1) - fv[i] * pv
+            resid, rse = sn_mean(integrand, logw)
+            for p, r, e, l2 in zip(probes, resid, rse, pl2):
+                scale = max(fl2[i] * l2, 1e-12)
                 rows.append(make_row(
                     cfg.weight, n, lam, "weak_identity",
-                    abs(resid) / scale, rse / scale, 0.0,
+                    abs(r) / scale, e / scale, 0.0,
                     allowance=_WEAK_COEF * cfg.grid_mesh ** 2,
                     f_label=f"{name}|{p.label}", route="grid"))
     return rows
