@@ -10,7 +10,10 @@ it exceeds 1.
 Boundaries are reflecting: out-of-range neighbours are mirrored back
 into the box, so every row of the discrete -L sums to zero and constants
 are solutions.  One factorisation of lam*I - L serves every right-hand
-side at a given lam.
+side at a given lam.  The mirrored five-point stencil has a symmetric
+sparsity pattern, so SuperLU orders its columns by minimum degree on
+A^T + A (MMD_AT_PLUS_A), which gives sparser factors and a faster solve
+than the default COLAMD ordering.
 """
 from __future__ import annotations
 
@@ -144,7 +147,8 @@ def solve_elliptic_grid(weight: ConvexWeight, fs: Sequence[Callable],
     pts = spec.points()
     rhs = np.stack([np.asarray(f(pts), dtype=float).ravel() for f in fs], axis=1)
     # spsolve returns 1-D for a single column
-    u = spla.spsolve(a, rhs).reshape(k.shape[0], -1)
+    u = spla.spsolve(a, rhs, permc_spec="MMD_AT_PLUS_A")
+    u = u.reshape(k.shape[0], -1)
     shape = (spec.npoints,) * spec.dim
     return [GridSolution(spec=spec, values=col.reshape(shape),
                          gradient=_grid_gradient(col.reshape(shape), spec))
