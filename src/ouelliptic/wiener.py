@@ -109,7 +109,8 @@ def max_endpoint_convex_weight(modes: int,
     """The max-plus-endpoint weight as oracles on h-frame coordinates.
 
     Convex (a supremum of linear functionals plus a linear one) but not
-    gradient-Lipschitz, so grad_lip is None.
+    gradient-Lipschitz, so grad_lip is None.  The joint oracle
+    eval_subgrad reconstructs the paths x @ hmat once for both halves.
     """
     basis = WienerBasis(modes)
     grid = np.linspace(0.0, 1.0, time_points + 1)
@@ -121,13 +122,16 @@ def max_endpoint_convex_weight(modes: int,
         return np.max(paths, axis=-1) + paths[..., -1]
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
-        paths = x @ hmat
-        idx = np.argmax(paths, axis=-1)
-        return hmat.T[idx] + h_end
+        paths = np.asarray(x, dtype=float) @ hmat
+        return hmat.T[np.argmax(paths, axis=-1)] + h_end
+
+    def both(x):
+        paths = np.asarray(x, dtype=float) @ hmat
+        return (np.max(paths, axis=-1) + paths[..., -1],
+                hmat.T[np.argmax(paths, axis=-1)] + h_end)
 
     return ConvexWeight(dim=modes, eval=val, subgrad=grad, grad_lip=None,
-                        label="max-endpoint")
+                        label="max-endpoint", eval_subgrad=both)
 
 
 def max_endpoint_truncated(n: int, modes: int = 256, samples: int = 64,
