@@ -15,11 +15,9 @@ is from solving the full one.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as beta_fn
 
 from .grid import table_lookup, tensor_nodes
 from .mc import MCValue
@@ -141,14 +139,13 @@ def conditional_expectation(base: ConvexWeight, n: int, xi: np.ndarray,
 
 @dataclass(frozen=True)
 class BumpKernel:
-    """Polynomial bump c * (1 - |eta|^2)^4 on the unit ball with a tensor
-    Gauss-Legendre discretization.
+    """Polynomial bump proportional to (1 - |eta|^2)^4 on the unit ball
+    with a tensor Gauss-Legendre discretization.
 
-    The normalizing constant is exact: integrating over the ball in polar
-    coordinates gives c = Gamma(n/2) / (pi^{n/2} * B(n/2, 5)).  Nodes
-    outside the ball are dropped and the remaining weights rescaled to
-    sum to one, so the discrete kernel is itself a probability measure
-    supported strictly inside the ball.
+    Nodes outside the ball are dropped and the remaining weights
+    rescaled to sum to one, so the discrete kernel is itself a
+    probability measure supported strictly inside the ball (and the
+    bump's normalizing constant is never needed).
     """
     dim: int
     nodes: np.ndarray
@@ -169,9 +166,7 @@ class BumpKernel:
         r2 = np.sum(nodes * nodes, axis=-1)
         inside = r2 < 1.0
         nodes, wts, r2 = nodes[inside], wts[inside], r2[inside]
-        c = float(math.gamma(dim / 2.0)
-                  / (np.pi ** (dim / 2.0) * beta_fn(dim / 2.0, 5.0)))
-        weights = wts * c * (1.0 - r2) ** 4
+        weights = wts * (1.0 - r2) ** 4
         weights = weights / weights.sum()
         return cls(dim=dim, nodes=nodes, weights=weights)
 
@@ -185,9 +180,9 @@ class BumpKernel:
         return float(np.sum(self.weights * r2) / self.dim)
 
     def analytic_second_moment(self) -> float:
-        """Per-axis second moment of the continuous bump."""
-        n = self.dim
-        return float(beta_fn(n / 2.0 + 1.0, 5.0) / (n * beta_fn(n / 2.0, 5.0)))
+        """Per-axis second moment of the continuous bump,
+        B(n/2 + 1, 5) / (n B(n/2, 5)) = 1 / (n + 10)."""
+        return 1.0 / (self.dim + 10.0)
 
 
 def mollify(inner: ConvexWeight, epsilon: float,
