@@ -104,6 +104,24 @@ def test_operator_is_m_matrix(dim):
                 (w.label, mesh)
 
 
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_elliptic_solve_residual(lam):
+    # the factorisation's column ordering must not cost accuracy: the
+    # discrete equation holds to roundoff for every weight of the family
+    spec = grid.GridSpec(dim=2, radius=6.0, mesh=1 / 8)
+    fs = [cylinder.tanh_coord(1.0, coord=1),
+          cylinder.cos_linear(np.array([1.0, 1.0]) / np.sqrt(2.0))]
+    pts = spec.points()
+    for w in standard_family(2):
+        k = grid.assemble_operator(w, spec)
+        sols = grid.solve_elliptic_grid(w, fs, lam, spec, operator=k)
+        for f, sol in zip(fs, sols):
+            rhs = f(pts)
+            resid = lam * sol.values.ravel() + k @ sol.values.ravel() - rhs
+            assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(rhs)), \
+                (w.label, f.label)
+
+
 def test_elliptic_gradient_bound():
     f = cylinder.tanh_coord()
     spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 32)

@@ -4,7 +4,11 @@ import ast
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,8 +63,6 @@ def small_cfg(**overrides):
 
 
 def test_shipped_config_spells_out_defaults():
-    from pathlib import Path
-
     shipped = Path(__file__).resolve().parents[1] / "configs" / "energy.ini"
     cfg = load_config(shipped)
     assert cfg == default_config()
@@ -458,6 +460,20 @@ def test_nslope_mixed_route_allowance():
     assert len(table) == 1
     want = (cfg.mc.dt * 2.0 + 4.0 * cfg.grid_mesh ** 2) * 0.605 / 3.0
     assert table[0]["allowance"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("weight", ["zero", "quadratic", "energy"])
+def test_separable_ladder_rungs_are_resolved(weight):
+    """A separable rung samples the exact marginal of the full measure,
+    so its standard error is a small fraction of the residual; a cloud
+    reweighted by e^{-U} over all modes has an effective size of a few
+    samples for the quadratic weight, and an error near 20%."""
+    cfg = small_cfg(weight=weight, dims=(1, 2), lambdas=(0.5,),
+                    grid_radius=5.0, grid_mesh=1 / 8)
+    table, failed = harness.ladder_table(cfg)
+    assert not failed and [r["n"] for r in table] == [1, 2]
+    for r in table:
+        assert 0.0 < r["std_error"] <= 0.02 * r["residual_l2"], r
 
 
 # ---------------------------------------------------------------------------
@@ -875,3 +891,16 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(capsys):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_cli_import_leaves_scipy_special_out():
+    # scipy.special costs about 0.05 s of set-up on every run, and the
+    # package needs none of it
+    code = "import sys, ouelliptic.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -257,3 +257,15 @@ def test_truncated_max_endpoint_joint_oracle(n):
     full = (x @ hmat[:n])[:, None, :] + (tails @ hmat[n:])[None]
     assert np.array_equal(v.ravel(),
                           (np.max(full, -1) + full[:, :, -1]).mean(-1))
+
+
+def test_max_endpoint_joint_oracle():
+    """The joint oracle reconstructs the paths once and gives the bits of
+    eval and of subgrad, at any leading shape."""
+    w = wiener.max_endpoint_convex_weight(32, time_points=64)
+    x = np.random.default_rng(4).standard_normal((300, 32))
+    for xs in (x, x.reshape(3, 100, 32), x[0]):
+        v, g = w.value_subgrad(xs)
+        assert np.array_equal(v, w.eval(xs))
+        assert np.array_equal(g, w.subgrad(xs))
+        assert g.shape == xs.shape
