@@ -122,8 +122,10 @@ def max_endpoint_convex_weight(modes: int,
         return np.max(paths, axis=-1) + paths[..., -1]
 
     def grad(x):
-        paths = np.asarray(x, dtype=float) @ hmat
-        return hmat.T[np.argmax(paths, axis=-1)] + h_end
+        x = np.asarray(x, dtype=float)
+        paths = x @ hmat
+        idx = np.argmax(paths, axis=-1)
+        return hmat.T[idx] + h_end
 
     def both(x):
         paths = np.asarray(x, dtype=float) @ hmat
