@@ -467,7 +467,7 @@ def test_separable_ladder_rungs_are_resolved(weight):
     """A separable rung samples the exact marginal of the full measure,
     so its standard error is a small fraction of the residual; a cloud
     reweighted by e^{-U} over all modes has an effective size of a few
-    samples for the quadratic weight, and an error near 20%."""
+    samples for the quadratic weight, and an error of 20-35%."""
     cfg = small_cfg(weight=weight, dims=(1, 2), lambdas=(0.5,),
                     grid_radius=5.0, grid_mesh=1 / 8)
     table, failed = harness.ladder_table(cfg)
@@ -894,7 +894,7 @@ def test_cli_requires_subcommand():
 
 
 def test_cli_import_leaves_scipy_special_out():
-    # scipy.special costs about 0.05 s of set-up on every run, and the
+    # scipy.special costs about 0.04 s of set-up on every run, and the
     # package needs none of it
     code = "import sys, ouelliptic.cli; print('scipy.special' in sys.modules)"
     env = dict(os.environ)
