@@ -7,7 +7,7 @@ spells out.  A config file is INI with these sections and keys, all
 optional; an absent key keeps its default:
 
   [experiment]  weight, dims, lambdas, test_functions, seed, output_dir, route
-  [mc]          dt, paths, t_max, quad_nodes, cloud, fd_step
+  [mc]          dt, paths, t_max, quad_nodes, cloud
   [grid]        radius, mesh, norm_samples
   [weight_params]  coeff, modes, tail_samples, time_points, epsilon; the
                    ones the configured weight reads are range-checked
@@ -53,7 +53,6 @@ class ExperimentConfig:
     grid_mesh: float = 1.0 / 32.0
     norm_samples: int = 200_000
     mc_cloud: int = 32
-    fd_step: float = 0.05
     route: str = "auto"
 
     def __post_init__(self):
@@ -90,18 +89,16 @@ class ExperimentConfig:
             raise ConfigError("norm_samples must be at least 1000")
         if self.mc_cloud < 8:
             raise ConfigError("mc_cloud must be at least 8")
-        if not 0 < self.fd_step < math.inf:
-            raise ConfigError("fd_step must be positive and finite")
         try:    # every key, absent ones at their defaults, typed as those
             p = {key: type(value)(self.weight_params.get(key, value))
                  for key, value in WEIGHT_PARAMS.items()}
         except (ValueError, OverflowError):
             raise ConfigError("weight_params must be finite") from None
         object.__setattr__(self, "weight_params", p)
-        # the ladder truncates every weight's master at modes, at every n <= 2
-        if p["modes"] <= max([n for n in self.dims if n <= 2], default=0):
-            raise ConfigError("weight_params modes must exceed every grid dim")
         if self.weight == "max-endpoint":
+            # the weight at each dim n truncates its master at modes > n
+            if p["modes"] <= max(self.dims):
+                raise ConfigError("weight_params modes must exceed every grid dim")
             if p["tail_samples"] < 1 or p["time_points"] < 1:
                 raise ConfigError("weight_params tail_samples and time_points "
                                   "must be at least 1")
@@ -129,7 +126,7 @@ _KEYS = {
                    "route": ("route", str)},
     "mc": {"dt": ("mc.dt", float), "paths": ("mc.paths", int),
            "t_max": ("mc.t_max", float), "quad_nodes": ("mc.quad_nodes", int),
-           "cloud": ("mc_cloud", int), "fd_step": ("fd_step", float)},
+           "cloud": ("mc_cloud", int)},
     "grid": {"radius": ("grid_radius", float), "mesh": ("grid_mesh", float),
              "norm_samples": ("norm_samples", int)},
     "weight_params": {key: (f"weight_params.{key}", type(value))

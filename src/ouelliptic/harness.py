@@ -17,22 +17,21 @@ norm sums: graph = ||u|| + ||Lu||, W22 = ||u|| + ||Du|| + ||D2u||_HS.
 
 A row passes when estimate <= bound + 3*std_error + allowance, where the
 allowance covers deterministic discretization bias (mesh^2 for grid
-solves; time step and finite-difference steps for Monte Carlo solves,
-whose paths take the exact transition of the linear drift, never an
-Euler step, with dt setting the observation grid) and is reported in the
-CSV tables.  Rows whose inequality is lambda-free carry lambda = 0.
+solves; the time step for Monte Carlo solves, whose paths take the exact
+transition of the linear drift, never an Euler step, with dt setting the
+observation grid) and is reported in the CSV tables.  Rows whose
+inequality is lambda-free carry lambda = 0.
 
 Solutions come from the finite-difference grid for n <= 2 and from
 Monte Carlo resolvents for larger n (configurable).  The Monte Carlo
 route is restricted to coordinatewise-separable weights, for which a
 test function of the first k coordinates has a solution depending on the
-same k coordinates; derivative stencils therefore only span those.
+same k coordinates; its derivatives are the pathwise ones in those.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import cylinder, galerkin, grid, wiener
 from .config import ConfigError, ExperimentConfig, load_config
-from .mc import fd_jet, fd_stencil, resolvent_batch
+from .mc import resolvent_batch
 from .norms import sn_mean, sn_sqrt_ratio, sn_norm
 from .rng import MISC_TAG, NORM_TAG, mix64, substream
 from .weights import ConvexWeight, diagonal_quadratic_weight, zero_weight
@@ -50,7 +49,6 @@ from .weights import ConvexWeight, diagonal_quadratic_weight, zero_weight
 DOMAIN_CONSTANT = 2.0 + math.sqrt(2.0)
 HESS_CONSTANT = math.sqrt(2.0)
 
-_FD_REL = 0.02          # residual relative error of Richardson stencils
 _EM_REL = 1.0           # Euler weak bias ~ dt * (1 + 1/lam) per unit bound;
                         # kept for exact paths until an oracle measures them
 _WEAK_COEF = 25.0       # weak-identity allowance in units of mesh^2
@@ -259,14 +257,8 @@ def _grid_allowance(bound: float, cfg: ExperimentConfig) -> float:
     return 4.0 * cfg.grid_mesh ** 2 * bound
 
 
-def _mc_allowance(bound: float, lam: float, cfg: ExperimentConfig,
-                  order: int) -> float:
-    allow = _EM_REL * cfg.mc.dt * (1.0 + 1.0 / lam) * bound
-    if order >= 1:
-        allow += _FD_REL * bound
-    if order >= 2:
-        allow += _FD_REL * bound
-    return allow
+def _mc_allowance(bound: float, lam: float, cfg: ExperimentConfig) -> float:
+    return _EM_REL * cfg.mc.dt * (1.0 + 1.0 / lam) * bound
 
 
 def _solution_rows(cfg: ExperimentConfig, n: int, lam: float, name: str,
@@ -282,8 +274,7 @@ def _solution_rows(cfg: ExperimentConfig, n: int, lam: float, name: str,
     to every standard error.  A constant f has derivatives that vanish
     exactly, so its derivative rows are 0.  The sup rows, written when f
     declares its sup norm, take the largest |u| and |grad u| on the cloud.
-    allowance(bound, order) is the route's allowance for a row whose
-    estimate reads derivatives of that order.
+    allowance(bound) is the route's allowance for a row of that bound.
     """
     u, gsq, hsq = jet
     uvar, gvar, hvar = jet_var
@@ -308,7 +299,7 @@ def _solution_rows(cfg: ExperimentConfig, n: int, lam: float, name: str,
             est, se = sn_sqrt_ratio(vals, fsq, logw, num_sq_var=var)
             se += tail
         rows.append(make_row(cfg.weight, n, lam, quantity, est, se, bound,
-                             allowance=allowance(bound, order),
+                             allowance=allowance(bound),
                              f_label=name, route=route))
     return rows
 
@@ -340,7 +331,7 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
             rows += _solution_rows(
                 cfg, n, lam, name, f, fsq[i], logw,
                 (uv, np.sum(ug * ug, -1), np.sum(uh * uh, (-2, -1))),
-                lambda bound, order: _grid_allowance(bound, cfg), "grid")
+                lambda bound: _grid_allowance(bound, cfg), "grid")
 
             # the weak identity against every probe, one row per probe
             integrand = lam * uv * pv + np.sum(ug * pg, -1) - fv[i] * pv
@@ -369,38 +360,28 @@ def _mc_rows(cfg: ExperimentConfig, n: int) -> list:
     if w.linear_grad is None:
         raise ConfigError("Monte Carlo route requires a separable weight")
     fs = [(name, make_test_function(name, n)) for name in cfg.test_functions]
-    active = min(2, n, max(f.active_dim for _, f in fs) or 1)
-    d = cfg.fd_step
-    offs = fd_stencil(n, active, d)
 
     # stationary cloud: exact product Gaussian for the linear drift
     rng = substream(cfg.seed, NORM_TAG, 2, n)
     xc = rng.standard_normal((cfg.mc_cloud, n)) / np.sqrt(
         1.0 + np.asarray(w.linear_grad))
-    starts = (xc[:, None, :] + offs[None, :, :]).reshape(-1, n)
     mc_cfg = dataclasses.replace(cfg.mc, seed=int(mix64(cfg.seed, 7001, n)))
-    acc, tails = resolvent_batch(w, starts, [f for _, f in fs],
+    acc, tails = resolvent_batch(w, xc, [f for _, f in fs],
                                  list(cfg.lambdas), mc_cfg)
 
     zeros = np.zeros(cfg.mc_cloud)
     rows = []
     for i, lam in enumerate(cfg.lambdas):
         for j, (name, f) in enumerate(fs):
-            u, grad, hess = fd_jet(
-                acc[i][j].reshape(cfg.mc_cloud, offs.shape[0], -1), active, d)
-            u, uvar = _path_stats(u)
-            grads = [_path_stats(g) for g in grad]
-            # HS sum: the diagonal, then each cross entry twice
-            hs = [_path_stats(hess[k][k]) for k in range(active)]
-            for a, b in itertools.combinations(range(active), 2):
-                hs += [_path_stats(hess[a][b])] * 2
+            u, uvar = _path_stats(acc[i][j].value)
+            g, gvar = _path_stats(acc[i][j].grad)
+            h, hvar = _path_stats(acc[i][j].hess)
             fv = np.asarray(f(xc), dtype=float)
             rows += _solution_rows(
                 cfg, n, lam, name, f, fv * fv, zeros,
-                (u, sum(g * g for g, _ in grads), sum(h * h for h, _ in hs)),
-                lambda bound, order: _mc_allowance(bound, lam, cfg, order),
-                "mc", (uvar, sum(v for _, v in grads), sum(v for _, v in hs)),
-                tails[i][j])
+                (u, np.sum(g * g, 0), np.sum(h * h, (0, 1))),
+                lambda bound: _mc_allowance(bound, lam, cfg), "mc",
+                (uvar, gvar.sum(0), hvar.sum((0, 1))), tails[i][j])
     return rows
 
 
@@ -459,7 +440,9 @@ def _domain_rows(cfg: ExperimentConfig, n: int) -> list:
         lu = grid.apply_generator(w, u, x)
         usq = uv * uv
         graph = np.stack([usq, lu * lu])
-        w22 = np.stack([usq, np.sum(ug * ug, -1), np.sum(uh * uh, (-2, -1))])
+        # squared in place: uh is the largest array of the stage
+        w22 = np.stack([usq, np.sum(ug * ug, -1),
+                        np.sum(np.square(uh, out=uh), (-2, -1))])
 
         est, se = sn_sqrt_ratio(graph, w22, logw)
         rows.append(make_row(cfg.weight, n, 0.0, "domain_equiv_ratio",
@@ -586,7 +569,7 @@ def nslope_table(cfg: ExperimentConfig, report: EstimateReport) -> list:
         mixed = len({r.route for r in rows}) > 1
         allow = 0.0
         if mixed:
-            allow = (_mc_allowance(1.0, lam, cfg, 0)
+            allow = (_mc_allowance(1.0, lam, cfg)
                      + _grid_allowance(1.0, cfg)) \
                 * float(np.mean(es)) / (ns.max() - ns.min())
         passed = bool(abs(slope) <= 2.0 * se + allow)

@@ -10,19 +10,20 @@ kappa = 1 + g, whose transition over any time is exactly Gaussian, so
 those paths carry no time-step bias.  There X_t = e^{-kappa t} xi + N_t
 with N_t independent of the start, so the resolvent observes each ridge
 test function g(<a, x>) through <a, e^{-kappa t} xi> (one value per
-distinct start) plus <a, N_t> (one value per path) and never builds the
-(starts, paths, n) states.  Noise is drawn from counter-based per-path
-Philox streams keyed by (seed, path index), one normal per coordinate
-per step on either path, so results are bit-identical for a fixed
-(seed, config) regardless of chunking, thread count or evaluation order,
-and runs from shifted starting points reuse the same noise (common
-random numbers) for tight finite differences.
+start) plus <a, N_t> (one value per path) and never builds the
+(starts, paths, n) states.  Since X_t is affine in the start, the same
+pass gives the resolvent's gradient and Hessian in the start path by
+path, from g' and g'' (the pathwise derivative estimator).  Noise is
+drawn from counter-based per-path Philox streams keyed by (seed, path
+index), one normal per coordinate per step on either path, so results
+are bit-identical for a fixed (seed, config) regardless of chunking,
+thread count or evaluation order, and runs from different starting
+points share the same noise (common random numbers).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +69,16 @@ class MCValue:
                    std_error=float(per_path.std(ddof=1) / np.sqrt(per_path.size)
                                    + extra_error),
                    paths_used=per_path.size)
+
+
+class PathJet(NamedTuple):
+    """Per-path resolvent accumulators of one (lam, f) pair at S starts:
+    the value (S, paths) and its gradient (k, S, paths) and Hessian
+    (k, k, S, paths) in the start's coordinates f.coords, k = f.a.size.
+    Paths that take Euler steps give the value only."""
+    value: np.ndarray
+    grad: Optional[np.ndarray] = None
+    hess: Optional[np.ndarray] = None
 
 
 def _step_count(t: float, dt: float) -> int:
@@ -179,15 +190,15 @@ def semigroup_apply(weight: ConvexWeight, f: Callable, t: float, xi: np.ndarray,
 
 
 def semigroup_gradient(weight: ConvexWeight, f: Callable, t: float, xi: np.ndarray,
-                       cfg: DiffusionConfig, fd_step: float = 1e-2) -> list[MCValue]:
-    """Central differences of T_t f with common random numbers."""
+                       cfg: DiffusionConfig, h: float = 1e-2) -> list[MCValue]:
+    """Central differences of T_t f at step h with common random numbers."""
     if not t > 0:
         raise ValueError("t must be positive")
     xi = np.asarray(xi, dtype=float).reshape(-1)
     n = xi.size
-    starts = np.concatenate([xi + fd_step * np.eye(n), xi - fd_step * np.eye(n)])
+    starts = np.concatenate([xi + h * np.eye(n), xi - h * np.eye(n)])
     vals = np.asarray(f(simulate_terminal(weight, starts, t, cfg)), dtype=float)
-    return [MCValue.of_paths((vals[i] - vals[n + i]) / (2.0 * fd_step))
+    return [MCValue.of_paths((vals[i] - vals[n + i]) / (2.0 * h))
             for i in range(n)]
 
 
@@ -200,71 +211,25 @@ def resolvent_apply(weight: ConvexWeight, f: CylinderFunction, lam: float,
     the trajectories) and folded into the reported error.
     """
     acc, tails = resolvent_batch(weight, np.reshape(xi, (1, -1)), [f], [lam], cfg)
-    return MCValue.of_paths(acc[0][0][0], extra_error=tails[0][0])
-
-
-def fd_stencil(n: int, active: int, d: float) -> np.ndarray:
-    """Richardson stencil offsets, (1 + 4 active^2, n): the center, then
-    +d, -d, +2d, -2d along each of the first `active` coordinates, then
-    for each active pair i < j the crosses d(+-e_i +-e_j) and the same
-    at 2d, in the order (+,+), (+,-), (-,+), (-,-)."""
-    e = np.eye(n)
-    offs = [np.zeros(n)]
-    for i in range(active):
-        offs += [d * e[i], -d * e[i], 2 * d * e[i], -2 * d * e[i]]
-    for i, j in combinations(range(active), 2):
-        for s in (1.0, 2.0):
-            offs += [s * d * (e[i] + e[j]), s * d * (e[i] - e[j]),
-                     s * d * (-e[i] + e[j]), s * d * (-e[i] - e[j])]
-    return np.stack(offs)
-
-
-def fd_jet(vals: np.ndarray, active: int, d: float):
-    """Per-path value, gradient and Hessian from values on fd_stencil.
-
-    vals: (..., 1 + 4 active^2, paths), the stencil on the second-to-last
-    axis.  Each derivative is the Richardson combination of the central
-    differences at steps d and 2d, exact for polynomials of degree 4:
-    grad_i = (8 D_i(d) - D_i(2d)) / 12d with D_i(h) = u(+h e_i) - u(-h e_i),
-    and each Hessian entry is (4 H(d) - H(2d)) / 3 of the second
-    differences H(h) (three-point on the diagonal, four-point cross off
-    it).  Returns (u, grad, hess): grad a list of `active` arrays and hess
-    an active x active nested list with hess[i][j] is hess[j][i].
-    """
-    c = vals[..., 0, :]
-    grad = []
-    hess = [[None] * active for _ in range(active)]
-    for i in range(active):
-        p1, m1, p2, m2 = (vals[..., 1 + 4 * i + k, :] for k in range(4))
-        grad.append((8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * d))
-        d1 = (p1 - 2.0 * c + m1) / d ** 2
-        d2 = (p2 - 2.0 * c + m2) / (4.0 * d ** 2)
-        hess[i][i] = (4.0 * d1 - d2) / 3.0
-    for k, (i, j) in enumerate(combinations(range(active), 2)):
-        x = vals[..., 1 + 4 * active + 8 * k:, :]
-        c1 = (x[..., 0, :] - x[..., 1, :] - x[..., 2, :]
-              + x[..., 3, :]) / (4.0 * d ** 2)
-        c2 = (x[..., 4, :] - x[..., 5, :] - x[..., 6, :]
-              + x[..., 7, :]) / (16.0 * d ** 2)
-        hess[i][j] = hess[j][i] = (4.0 * c1 - c2) / 3.0
-    return c, grad, hess
+    return MCValue.of_paths(acc[0][0].value[0], extra_error=tails[0][0])
 
 
 def resolvent_derivatives(weight: ConvexWeight, f: CylinderFunction, lam: float,
-                          xi: np.ndarray, cfg: DiffusionConfig,
-                          fd_step: float = 1e-2):
-    """Gradient vector and Hessian matrix of R(lam) f at xi.
-
-    Common-random-number Richardson differences: central differences at
-    steps fd_step and 2 fd_step on fd_stencil(n, n, fd_step), combined by
-    fd_jet.  Returns (gradient list of MCValue, hessian (n, n) array of
-    MCValue).
+                          xi: np.ndarray, cfg: DiffusionConfig):
+    """Gradient vector and Hessian matrix of R(lam) f at xi, from the
+    pathwise derivatives of resolvent_batch; zero off f.coords.  Returns
+    (gradient list of MCValue, hessian (n, n) array of MCValue).  Only a
+    weight with linear_grad has them: elsewhere X_t is not affine in xi.
     """
+    if weight.linear_grad is None:
+        raise ValueError("resolvent derivatives need a weight with linear_grad")
     xi = np.asarray(xi, dtype=float).reshape(-1)
     n = xi.size
-    starts = xi + fd_stencil(n, n, fd_step)
-    acc = resolvent_batch(weight, starts, [f], [lam], cfg)[0][0][0]
-    _, grad, hess = fd_jet(acc, n, fd_step)
+    jet = resolvent_batch(weight, xi[None, :], [f], [lam], cfg)[0][0][0]
+    grad = np.zeros((n, cfg.paths))
+    grad[f.coords] = jet.grad[:, 0]
+    hess = np.zeros((n, n, cfg.paths))
+    hess[f.coords, f.coords] = jet.hess[:, :, 0]
     return ([MCValue.of_paths(g) for g in grad],
             np.array([[MCValue.of_paths(h) for h in row] for row in hess],
                      dtype=object))
@@ -302,18 +267,24 @@ def resolvent_batch(weight: ConvexWeight, starts: np.ndarray,
 
     One trajectory ensemble serves every pair: each lam gets its own node
     set and weights on a shared step grid reaching the largest horizon
-    max(8/lam, cfg.t_max).  Returns (acc, tails) with acc[i_lam][i_f] of
-    shape (S, paths) and tails[i_lam][i_f] the analytic bound on the
-    truncated time integral.
+    max(8/lam, cfg.t_max).  Returns (acc, tails) with acc[i_lam][i_f] the
+    PathJet at the S starts and tails[i_lam][i_f] the analytic bound on
+    the truncated time integral.
 
     For a weight with linear_grad each ridge function f = g(<a, x_c>) is
     observed through its projection alpha + beta, with alpha =
-    <a, e^{-kappa t} start_c> per distinct start_c and beta = <a, N_t>
-    per path, and accumulated per distinct start_c.  A cosine profile is
-    cos(alpha) cos(beta) - sin(alpha) sin(beta), one transcendental per
-    start and per path, summed over the nodes after the run by an einsum
-    contraction: unlike a BLAS product it adds the nodes in order for
-    every entry, so the sums do not depend on how the paths are chunked.
+    <a, e^{-kappa t} start_c> per start and beta = <a, N_t> per path.
+    With d = a e^{-kappa_c t}, a node of weight w adds w g to the value,
+    w d_i g' to gradient entry i and w d_i d_j g'' to Hessian entry
+    (i, j): the pathwise derivatives of g(<a, X_t>) in the start
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
+    sec. 7.2).  A cosine profile is cos(alpha) cos(beta) - sin(alpha)
+    sin(beta), and its g' and g'' are the same sum with the (cos, sin)
+    of alpha turned by a quarter turn each: one transcendental per start
+    and per path, summed over the nodes after the run by einsum
+    contractions, which, unlike a BLAS product, add the nodes in order
+    for every entry, so the sums do not depend on how the paths are
+    chunked.
     """
     if not all(lam > 0 for lam in lams):
         raise ValueError("lam must be positive")
@@ -330,49 +301,77 @@ def resolvent_batch(weight: ConvexWeight, starts: np.ndarray,
         all_steps |= set(weight_of.keys())
     node = {k: i for i, k in enumerate(sorted(all_steps))}
     exact = weight.linear_grad is not None
-    # per f: its distinct start coordinates and where each start maps
-    rows = [np.unique(starts[:, f.coords], axis=0, return_inverse=True)
-            if exact else (starts, None) for f in fs]
-    acc = [[np.zeros((u.shape[0], cfg.paths)) for u, _ in rows] for _ in lams]
-    # per cosine: (cos, sin) of alpha by (node, start), of beta by (node, path)
-    angles = {j: (np.empty((2, len(node), rows[j][0].shape[0])),
+
+    def zeros(*shape):
+        return np.zeros(shape + (starts.shape[0], cfg.paths))
+
+    acc = [[PathJet(zeros(), *((zeros(f.a.size), zeros(f.a.size, f.a.size))
+                               if exact else ())) for f in fs] for _ in lams]
+    # e^{-kappa t} by node; per cosine, (cos, sin) of alpha by (node, start)
+    # and of beta by (node, path)
+    decays = np.empty((len(node), starts.shape[1]))
+    angles = {j: (np.empty((2, len(node), starts.shape[0])),
                   np.empty((2, len(node), cfg.paths)))
               for j, f in enumerate(fs) if exact and f.g is np.cos}
     sup_norms = [f.sup_norm for f in fs]
     sup_seen = [1.0 if j in angles else 0.0 for j in range(len(fs))]  # |cos| <= 1
 
     def grab(step, decay, y, sl):
+        if decay is not None:
+            decays[node[step]] = decay[:, 0]
         for j, f in enumerate(fs):
             if decay is None:
                 v = f(y)
             else:
-                alpha = (decay[f.coords, 0] * rows[j][0]) @ f.a
+                alpha = (decay[f.coords, 0] * starts[:, f.coords]) @ f.a
                 beta = f.a @ y[f.coords]
                 if j in angles:
                     angles[j][0][:, node[step]] = np.cos(alpha), np.sin(alpha)
                     angles[j][1][:, node[step], sl] = np.cos(beta), np.sin(beta)
                     continue
-                v = f.g(alpha[:, None] + beta)
+                x = alpha[:, None] + beta
+                v, dv, d2v = f.g(x), f.dg(x), f.d2g(x)
+                d = f.a * decay[f.coords, 0]
+                dd = np.multiply.outer(d, d)
             if sup_norms[j] is None:
                 sup_seen[j] = max(sup_seen[j], float(np.max(np.abs(v))))
             for i, (_, weight_of, _) in enumerate(plans):
                 w = weight_of.get(step)
-                if w is not None:
-                    acc[i][j][:, sl] += w * v
+                if w is None:
+                    continue
+                jet = acc[i][j]
+                jet.value[:, sl] += w * v
+                if decay is not None:
+                    jet.grad[..., sl] += (w * d)[:, None, None] * dv
+                    jet.hess[..., sl] += (w * dd)[..., None, None] * d2v
 
     sub_cfg = DiffusionConfig(dt=dt_eff, paths=cfg.paths, seed=cfg.seed,
                               t_max=t_hor_max, quad_nodes=cfg.quad_nodes)
     _run_paths(weight, starts, t_hor_max, sub_cfg, sorted(all_steps), grab)
     for j, (at_start, at_path) in angles.items():
+        f = fs[j]
+        c, s = at_start
+        # (p, q) with the m-th derivative of cos at alpha + beta equal to
+        # p cos(beta) + q sin(beta)
+        turns = [(c, -s), (-s, -c), (-c, s)]
         for i, (_, weight_of, _) in enumerate(plans):
             ks = [node[k] for k in weight_of]
-            w = np.array(list(weight_of.values()))[:, None]
-            lhs = np.concatenate([w * at_start[0, ks], -w * at_start[1, ks]])
+            w = np.array(list(weight_of.values()))
+            d = f.a * decays[ks][:, f.coords]
             rhs = at_path[:, ks].reshape(2 * len(ks), -1)
-            acc[i][j] = np.einsum("ku,kb->ub", lhs, rhs, optimize=False)
-    if exact:
-        acc = [[a[inv.reshape(-1)] for a, (_, inv) in zip(row, rows)]
-               for row in acc]
+
+            def contract(coef, m):
+                p, q = turns[m]
+                lhs = np.concatenate([coef[:, None] * p[ks],
+                                      coef[:, None] * q[ks]])
+                return np.einsum("ku,kb->ub", lhs, rhs, optimize=False)
+
+            jet = acc[i][j]
+            jet.value[:] = contract(w, 0)
+            for r in range(f.a.size):
+                jet.grad[r] = contract(w * d[:, r], 1)
+                for e in range(f.a.size):
+                    jet.hess[r, e] = contract(w * (d[:, r] * d[:, e]), 2)
     tails = []
     for (lam, _, t_hor) in plans:
         row = []

@@ -182,7 +182,7 @@ def test_criterion_06_resolvent_bounds_and_hermite_scaling():
     for i, lam in enumerate(lams):
         for j, k in enumerate((1, 2)):
             want = he_vals[j] / (lam + k)
-            rel = abs(acc[i][j][0].mean() - want) / abs(want)
+            rel = abs(acc[i][j].value[0].mean() - want) / abs(want)
             worst_mc = max(worst_mc, rel)
             assert rel <= 0.02
 
@@ -208,7 +208,7 @@ def test_criterion_06_resolvent_bounds_and_hermite_scaling():
                                     mc.DiffusionConfig(dt=2e-3, paths=20_000,
                                                        seed=6))
     for i, lam in enumerate(lams):
-        per = acc[i][0]
+        per = acc[i][0].value
         for s in range(pts.shape[0]):
             se = per[s].std(ddof=1) / math.sqrt(per.shape[1]) + tails[i][0]
             assert abs(per[s].mean()) <= 1.0 / lam + 3.0 * se
@@ -234,7 +234,7 @@ def test_criterion_07_grid_mc_cross_validation():
     acc, _ = mc.resolvent_batch(w, pts, [f], [1.0],
                                 mc.DiffusionConfig(dt=2e-3, paths=30_000,
                                                    seed=4))
-    per = acc[0][0]
+    per = acc[0][0].value
     worst = 0.0
     for i in range(pts.shape[0]):
         gv = float(u.value(pts[i:i + 1])[0])

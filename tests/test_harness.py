@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ouelliptic import cli, galerkin, grid, harness, mc, wiener
+from ouelliptic import cli, galerkin, grid, harness, wiener
 from ouelliptic.config import default_config, load_config
 from ouelliptic.harness import ConfigError, EstimateReport, ExperimentConfig, make_row
 from ouelliptic.mc import DiffusionConfig
@@ -85,7 +85,6 @@ route = grid        ; solver choice
 dt = 0.01
 paths = 5000
 cloud = 16
-fd_step = 0.1
 
 [grid]
 radius = 4
@@ -102,7 +101,7 @@ coeff = 0.25
     assert cfg.test_functions == ("const", "cos")
     assert cfg.seed == 7 and cfg.route == "grid"
     assert cfg.mc.dt == 0.01 and cfg.mc.paths == 5000
-    assert cfg.mc_cloud == 16 and cfg.fd_step == 0.1
+    assert cfg.mc_cloud == 16
     assert cfg.grid_radius == 4.0 and cfg.grid_mesh == 0.25
     assert cfg.norm_samples == 3000
     assert cfg.weight_params["coeff"] == 0.25
@@ -152,10 +151,10 @@ def test_config_bad_values(tmp_path):
     {"grid_mesh": 0.0},
     {"norm_samples": 10},
     {"mc_cloud": 2},
-    {"fd_step": 0.0},
+    {"lambdas": (float("nan"),)},
     {"weight": "max-endpoint", "weight_params": {"modes": 2}, "dims": (1, 2)},
-    {"weight": "energy", "weight_params": {"modes": 1}, "dims": (1, 2)},
-    {"weight": "zero", "weight_params": {"modes": 2}, "dims": (1, 2)},
+    {"weight": "max-endpoint", "weight_params": {"modes": 1}, "dims": (1,)},
+    {"weight": "quadratic", "weight_params": {"coeff": float("nan")}},
     {"weight": "max-endpoint", "weight_params": {"tail_samples": 0}},
     {"weight": "max-endpoint", "weight_params": {"time_points": 0}},
     {"weight": "max-endpoint", "weight_params": {"epsilon": 0.0}},
@@ -166,7 +165,7 @@ def test_config_bad_values(tmp_path):
     {"grid_radius": float("inf")},
     {"grid_mesh": float("inf")},
     {"lambdas": (1.0, float("inf"))},
-    {"fd_step": float("inf")},
+    {"weight": "max-endpoint", "weight_params": {"epsilon": float("nan")}},
 ])
 def test_config_validation_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -274,38 +273,6 @@ def test_csv_float_format_round_trips():
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def test_stencil_layout():
-    s = mc.fd_stencil(1, 1, 0.1)
-    assert s.shape == (5, 1)
-    assert np.allclose(s.ravel(), [0.0, 0.1, -0.1, 0.2, -0.2])
-
-    s = mc.fd_stencil(2, 2, 0.1)
-    assert s.shape == (17, 2)
-    assert len(np.unique(s, axis=0)) == 17
-    assert np.all(s[0] == 0.0)
-
-    # all three pairs of n = 3, each crossed at d then 2d
-    s = mc.fd_stencil(3, 3, 0.1)
-    assert s.shape == (37, 3)
-    assert len(np.unique(s, axis=0)) == 37
-    for i in range(3):
-        axis = s[1 + 4 * i:5 + 4 * i]
-        assert np.allclose(axis[:, i], [0.1, -0.1, 0.2, -0.2])
-        assert np.all(np.delete(axis, i, axis=1) == 0.0)
-    for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
-        block = s[13 + 8 * k:21 + 8 * k]
-        other = 3 - i - j
-        assert np.all(block[:, other] == 0.0)
-        signs = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
-        assert np.allclose(block[:4][:, [i, j]], 0.1 * np.array(signs))
-        assert np.allclose(block[4:][:, [i, j]], 0.2 * np.array(signs))
-
-    # the harness's layout: only the first `active` coordinates move
-    s = mc.fd_stencil(4, 2, 0.1)
-    assert s.shape == (17, 4)
-    assert np.all(s[:, 2:] == 0.0)
 
 
 def test_random_probes_deterministic():
@@ -763,6 +730,24 @@ def test_bad_weight_params_exit_two(tmp_path, capsys, edit):
     assert not (tmp_path / "run").exists()
 
 
+def test_modes_unread_by_separable_weights(tmp_path):
+    """Only max-endpoint reads modes: an energy run at modes = 1, below a
+    grid dim, is no config error and writes exactly the artifacts of the
+    same run at modes = 256."""
+    text = TINY_INI.replace("weight = zero", "weight = energy").replace(
+        "dims = 1", "dims = 1 2")
+    outs = []
+    for modes in (1, 256):
+        cfg = tmp_path / f"modes{modes}.ini"
+        cfg.write_text(text.replace("modes = 16", f"modes = {modes}"))
+        out = tmp_path / f"run{modes}"
+        assert cli.main(["verify-estimates", "--config", str(cfg), "--out",
+                         str(out), "--quiet"]) == 0
+        outs.append({f.relative_to(out): f.read_bytes()
+                     for f in sorted(out.rglob("*")) if f.is_file()})
+    assert outs[0] == outs[1] and len(outs[0]) == 5
+
+
 def test_narrow_domain_fails_honestly(tmp_path):
     cfg = tmp_path / "narrow.ini"
     cfg.write_text("""[experiment]
@@ -803,6 +788,7 @@ def test_config_problems_exit_two(tmp_path, capsys):
                            ("[grid]\nmeshh = 0.25\n", "meshh"),
                            ("[weight_params]\nepsilonn = 3\n", "epsilonn"),
                            ("[weight_params]\nmodes = 16.7\n", "16.7"),
+                           ("[mc]\nfd_step = 0.05\n", "fd_step"),
                            ("[experiment]\noutput_dir = a%1\n", "%1")]:
         bad.write_text(text)
         capsys.readouterr()

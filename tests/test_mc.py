@@ -1,5 +1,6 @@
 """Monte Carlo semigroup and resolvent checks against closed forms."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -234,48 +235,95 @@ def test_resolvent_derivatives_constant():
             assert hess[i, j].mean == pytest.approx(0.0)
 
 
-@pytest.mark.parametrize("active", [1, 2, 3])
-def test_fd_jet_exact_on_quartics(active):
-    """The Richardson jet returns the exact gradient and Hessian of a
-    degree-4 polynomial, including every cross entry of 3 coordinates,
-    and exact zeros for a constant."""
-    rng = np.random.default_rng(11)
-    n, d = active + 1, 0.05
-    xi = rng.standard_normal((3, n))          # three centers, extra coord
-    coef = rng.standard_normal((active, active))
-    quart = rng.standard_normal(active)
+def _richardson_jet(w, f, lam, xi, h, cfg):
+    """Reference per-path gradient and Hessian of R(lam) f at xi in
+    f.coords: Richardson central differences at steps h and 2h of
+    resolvent_batch values at shifted starts, which share their noise
+    (common random numbers).  Exact for polynomials of degree 4 in the
+    start: grad_i = (8 D_i(h) - D_i(2h)) / 12h with D_i(s) = u(+s e_i) -
+    u(-s e_i), and each Hessian entry (4 H(h) - H(2h)) / 3 of the second
+    differences H (three-point on the diagonal, four-point cross off it).
+    """
+    k = f.a.size
+    unit = np.eye(k, dtype=int)
+    shifts = {(0,) * k}
+    for i in range(k):
+        shifts |= {tuple(s * unit[i]) for s in (1, -1, 2, -2)}
+    for i, j in itertools.combinations(range(k), 2):
+        shifts |= {tuple(s * (si * unit[i] + sj * unit[j]))
+                   for s in (1, 2) for si in (1, -1) for sj in (1, -1)}
+    shifts = sorted(shifts)
+    starts = xi + h * (np.array(shifts) @ np.eye(xi.size)[f.coords])
+    vals = mc.resolvent_batch(w, starts, [f], [lam], cfg)[0][0][0].value
+    u = dict(zip(shifts, vals))
 
-    def poly(x):
-        y = x[..., :active]
-        return (np.einsum("...i,ij,...j->...", y, coef, y) * y.sum(-1)
-                + (quart * y ** 4).sum(-1) + 2.0 * x[..., -1] ** 2)
+    def at(*moves):                      # u at h * sum of (coord, steps)
+        m = [0] * k
+        for i, s in moves:
+            m[i] += s
+        return u[tuple(m)]
 
-    def exact(y):
-        q = y @ coef @ y
-        s = y.sum()
-        qg = (coef + coef.T) @ y
-        grad = qg * s + q + 4.0 * quart * y ** 3
-        hess = ((coef + coef.T) * s + qg[:, None] + qg[None, :]
-                + np.diag(12.0 * quart * y ** 2))
-        return grad, hess
+    def second(i, j, s):                 # second difference at step s h
+        if i == j:
+            return (at((i, s)) - 2.0 * at() + at((i, -s))) / (s * h) ** 2
+        return (at((i, s), (j, s)) - at((i, s), (j, -s)) - at((i, -s), (j, s))
+                + at((i, -s), (j, -s))) / (2 * s * h) ** 2
 
-    offs = mc.fd_stencil(n, active, d)
-    pts = xi[:, None, :] + offs[None, :, :]              # (3, K, n)
-    vals = np.stack([poly(pts), poly(pts) + 1.0], -1)    # two "paths"
-    u, grad, hess = mc.fd_jet(vals, active, d)
-    assert np.array_equal(u, vals[:, 0, :])
-    for c in range(3):
-        g_want, h_want = exact(xi[c, :active])
-        for i in range(active):
-            assert np.allclose(grad[i][c], g_want[i], rtol=0, atol=1e-8)
-            for j in range(active):
-                assert hess[i][j] is hess[j][i]
-                assert np.allclose(hess[i][j][c], h_want[i, j], rtol=0,
-                                   atol=1e-8)
+    grad = np.stack([(8.0 * (at((i, 1)) - at((i, -1)))
+                      - (at((i, 2)) - at((i, -2)))) / (12.0 * h)
+                     for i in range(k)])
+    hess = np.array([[(4.0 * second(i, j, 1) - second(i, j, 2)) / 3.0
+                      for j in range(k)] for i in range(k)])
+    return grad, hess
 
-    _, grad, hess = mc.fd_jet(np.full((2, offs.shape[0], 5), 2.0), active, d)
-    assert all(np.all(g == 0.0) for g in grad)
-    assert all(np.all(h == 0.0) for row in hess for h in row)
+
+@pytest.mark.parametrize("f", [tanh_coord(0.8),
+                               smoothed_indicator(0.1, 0.5, coord=1),
+                               hermite(3), cos_linear(np.array([0.6, -0.8]))],
+                         ids=["tanh", "step", "He3", "cos2"])
+def test_pathwise_jet_matches_richardson(f):
+    """The pathwise gradient and Hessian agree per path with Richardson
+    differences of the values under common random numbers."""
+    w = diagonal_quadratic_weight(np.array([0.5, 0.25]))
+    xi = np.array([0.3, -0.4])
+    cfg = mc.DiffusionConfig(dt=0.05, paths=200, seed=3)
+    jet = mc.resolvent_batch(w, xi[None, :], [f], [1.0], cfg)[0][0][0]
+    grad, hess = _richardson_jet(w, f, 1.0, xi, 0.05, cfg)
+    assert jet.grad.shape == (f.a.size, 1, cfg.paths)
+    assert jet.hess.shape == (f.a.size, f.a.size, 1, cfg.paths)
+    for got, want in ((jet.grad[:, 0], grad), (jet.hess[:, :, 0], hess)):
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-5 * np.abs(want).max())
+
+
+def test_resolvent_jets_hermite_closed_form():
+    """Under the zero weight R(lam) He_k = He_k / (lam + k), so its first
+    and second derivatives are k He_{k-1} / (lam + k) and
+    k (k - 1) He_{k-2} / (lam + k)."""
+    x, lams = 1.2, [0.5, 1.0, 2.0]
+
+    def he(j):                           # He_j(x), and 0 for j < 0
+        if j < 0:
+            return 0.0
+        return np.polynomial.hermite_e.hermeval(x, np.eye(j + 1)[j])
+
+    fs = [hermite(k) for k in (1, 2, 3)]
+    cfg = mc.DiffusionConfig(dt=0.02, paths=4000, seed=8)
+    acc, _ = mc.resolvent_batch(zero_weight(1), np.array([[x]]), fs, lams, cfg)
+    for i, lam in enumerate(lams):
+        for k, jet in zip((1, 2, 3), acc[i]):
+            wants = [he(k), k * he(k - 1), k * (k - 1) * he(k - 2)]
+            for per_path, want in zip((jet.value[0], jet.grad[0, 0],
+                                       jet.hess[0, 0, 0]), wants):
+                got = mc.MCValue.of_paths(per_path)
+                err = abs(got.mean - want / (lam + k))
+                assert err <= 3 * got.std_error + 2e-3
+
+
+def test_resolvent_derivatives_need_linear_grad():
+    with pytest.raises(ValueError, match="linear_grad"):
+        mc.resolvent_derivatives(huber_weight(1), tanh_coord(), 1.0,
+                                 np.array([0.0]), CFG_FAST)
 
 
 def test_resolvent_gradient_bound_tanh():
@@ -283,6 +331,11 @@ def test_resolvent_gradient_bound_tanh():
     cfg = mc.DiffusionConfig(dt=4e-3, paths=4000, seed=7)
     grad, _ = mc.resolvent_derivatives(zero_weight(1), f, 1.0, np.array([0.0]), cfg)
     assert abs(grad[0].mean) <= np.sqrt(np.pi) + 3 * grad[0].std_error + 1e-2
+
+
+def _same_jets(a, b):
+    """Two PathJets agree bit for bit (derivatives None in both, or equal)."""
+    return all(x is y is None or np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_resolvent_batch_shares_ensemble_across_lambdas():
@@ -295,7 +348,7 @@ def test_resolvent_batch_shares_ensemble_across_lambdas():
     acc, tails = mc.resolvent_batch(w, starts, [f], lams, cfg)
     for i, lam in enumerate(lams):
         one_acc, one_tails = mc.resolvent_batch(w, starts, [f], [lam], cfg)
-        assert np.array_equal(acc[i][0], one_acc[0][0])
+        assert _same_jets(acc[i][0], one_acc[0][0])
         assert np.array_equal(tails[i][0], one_tails[0][0])
 
 
@@ -311,7 +364,8 @@ def test_resolvent_batch_chunk_invariant(w, monkeypatch):
     chunked_acc, chunked_tails = mc.resolvent_batch(w, starts, fs, [0.5, 2.0], cfg)
     for row, chunked_row in zip(acc, chunked_acc):
         for a, b in zip(row, chunked_row):
-            assert np.array_equal(a, b)
+            assert _same_jets(a, b)
+            assert (a.grad is None) == (w.linear_grad is None)
     assert tails == chunked_tails
 
 
@@ -358,13 +412,11 @@ def _state_batch(w, starts, fs, lams, cfg):
 
 
 def test_projected_observer_matches_states():
-    """The exact branch observes <a, X_t> per distinct start coordinate and
-    per path; from full states the sums agree bit for bit, and to roundoff
-    for the cosine, which is summed by angle addition."""
+    """The exact branch observes <a, X_t> per start and per path; from
+    full states the value sums agree bit for bit, and to roundoff for the
+    cosine, which is summed by angle addition."""
     w = diagonal_quadratic_weight(np.array([0.5, 0.25, 1.0]))
-    xc = np.random.default_rng(3).standard_normal((4, 3))
-    starts = (xc[:, None, :] + mc.fd_stencil(3, 2, 0.05)[None]).reshape(-1, 3)
-    assert np.unique(starts[:, :1], axis=0).shape[0] == 4 * 5 < starts.shape[0]
+    starts = np.random.default_rng(3).standard_normal((12, 3))
     exact_fs = [tanh_coord(0.8), smoothed_indicator(0.1, 0.5, coord=1),
                 constant(2.0), hermite(3, coord=2)]
     trig_fs = [cos_linear(np.array([1.0, 1.0]) / np.sqrt(2)),
@@ -376,9 +428,9 @@ def test_projected_observer_matches_states():
     assert tails == want_tails
     for i in range(len(lams)):
         for j in range(len(exact_fs)):
-            assert np.array_equal(acc[i][j], want[i][j])
+            assert np.array_equal(acc[i][j].value, want[i][j])
         for j in range(len(exact_fs), len(exact_fs) + len(trig_fs)):
-            np.testing.assert_allclose(acc[i][j], want[i][j], rtol=1e-13,
+            np.testing.assert_allclose(acc[i][j].value, want[i][j], rtol=1e-13,
                                        atol=1e-13 * np.abs(want[i][j]).max())
 
 
