@@ -51,7 +51,7 @@ class ExperimentConfig:
     weight_params: dict = field(default_factory=dict)
     grid_radius: float = 6.0
     grid_mesh: float = 1.0 / 32.0
-    norm_samples: int = 200_000
+    norm_samples: int = 200_000   # cloud of the domain rows only
     mc_cloud: int = 32
     route: str = "auto"
 

@@ -207,8 +207,8 @@ class GridFunction:
 
     One table holds, per grid point, the value, the gradient columns and
     the full Hessian (row-major), the derivatives taken by central
-    differences on the grid; one table_lookup interpolates every column
-    at a point set.
+    differences on the grid; nodes() reads it as it is, and one
+    table_lookup interpolates every column at a point set.
     """
 
     def __init__(self, sol: GridSolution):
@@ -231,6 +231,12 @@ class GridFunction:
                 table[..., 1 + d + i * d + j] = table[..., 1 + d + j * d + i] = \
                     np.gradient(sol.gradient[..., i], h, axis=j)
         self._table = table.reshape(-1, table.shape[-1])
+
+    def nodes(self):
+        """Value (N,), gradient (N, dim) and Hessian (N, dim, dim) at the
+        grid points, in spec.points() order: the table itself, no lookup."""
+        d, t = self.spec.dim, self._table
+        return t[:, 0], t[:, 1:1 + d], t[:, 1 + d:].reshape(-1, d, d)
 
     def jet(self, x):
         """Value (...,), gradient (..., dim) and Hessian (..., dim, dim) at

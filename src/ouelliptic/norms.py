@@ -13,23 +13,14 @@ import math
 import numpy as np
 
 
-def sn_mean(values: np.ndarray, logw: np.ndarray):
-    """Mean of `values` under the self-normalized weights exp(logw), and
-    its delta-method standard error.
-
-    values holds one value per sample point, (samples,), and gives two
-    floats; or one row per term on shared sample points, (terms,
-    samples), and gives two (terms,) arrays, each entry computed along
-    the last axis with the same arithmetic as a (samples,) call on that
-    row.
-    """
+def sn_mean(values: np.ndarray, logw: np.ndarray) -> tuple[float, float]:
+    """Mean of `values` (one per sample point) under the self-normalized
+    weights exp(logw), and its delta-method standard error."""
     values = np.asarray(values, dtype=float)
     w = np.exp(logw - np.max(logw))
-    est = np.sum(w * values, axis=-1) / np.sum(w)
-    infl = w * (values - est[..., None]) / w.mean()
-    se = np.std(infl, axis=-1, ddof=1) / np.sqrt(values.shape[-1])
-    if values.ndim == 1:
-        return float(est), float(se)
+    est = float(np.sum(w * values) / np.sum(w))
+    infl = w * (values - est) / w.mean()
+    se = float(np.std(infl, ddof=1) / np.sqrt(values.size))
     return est, se
 
 

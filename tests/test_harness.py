@@ -17,7 +17,8 @@ from ouelliptic import cli, galerkin, grid, harness, wiener
 from ouelliptic.config import default_config, load_config
 from ouelliptic.harness import ConfigError, EstimateReport, ExperimentConfig, make_row
 from ouelliptic.mc import DiffusionConfig
-from ouelliptic.weights import ConvexWeight
+from ouelliptic.weights import (ConvexWeight, diagonal_quadratic_weight,
+                                zero_weight)
 
 
 TINY_INI = """[experiment]
@@ -317,6 +318,41 @@ def test_domain_rows_smooth_function():
 
 
 # ---------------------------------------------------------------------------
+# grid route
+
+
+@pytest.mark.parametrize("mesh", [1 / 32, 1 / 8])
+@pytest.mark.parametrize("coeffs", [(), (0.5, 2.0)], ids=["zero", "quadratic"])
+def test_node_weights_match_gaussian_moments(mesh, coeffs):
+    """The node weights of nu sum to 1, are symmetric in every coordinate
+    and give the closed-form second moments 1 / (1 + 2 c_i) of the
+    weight sum_i c_i x_i^2, within h^2 / 6 relative (cell masses carry
+    Sheppard's h^2 / 12)."""
+    weight = (diagonal_quadratic_weight(np.array(coeffs)) if coeffs
+              else zero_weight(1))
+    spec = grid.GridSpec(dim=weight.dim, radius=6.0, mesh=mesh)
+    wts = harness._node_weights(weight, spec)
+    assert wts.sum() == pytest.approx(1.0, abs=1e-14)
+    table = wts.reshape((spec.npoints,) * spec.dim)
+    for k in range(spec.dim):
+        assert np.array_equal(table, np.flip(table, axis=k))
+    second = wts @ spec.points() ** 2
+    want = 1.0 / (1.0 + 2.0 * np.array(coeffs or (0.0,)))
+    np.testing.assert_allclose(second, want, rtol=mesh ** 2 / 6.0, atol=0.0)
+
+
+def test_grid_rows_do_not_read_norm_samples():
+    """Grid rows are node sums: the cloud size of the domain rows leaves
+    them byte for byte as they are."""
+    reports = [harness.verify_main_estimates(small_cfg(
+        weight="energy", dims=(1, 2), test_functions=("const", "tanh", "cos"),
+        grid_radius=4.0, grid_mesh=0.25, norm_samples=k))
+        for k in (2000, 3000)]
+    assert reports[0].rows and all(r.route == "grid" for r in reports[0].rows)
+    assert reports[0].to_csv() == reports[1].to_csv()
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo route
 
 
@@ -346,6 +382,8 @@ def test_constant_derivative_rows_are_exact_zeros():
     for cfg in (mc_cfg, grid_cfg):
         rows = harness.verify_main_estimates(cfg).rows
         assert rows and all(math.isfinite(r.std_error) for r in rows)
+        # grid rows are exact node sums: no sampling error
+        assert all(r.std_error == 0.0 for r in rows if r.route == "grid")
         flat = [r for r in rows if r.f_label == "const" and r.quantity in
                 ("grad_ratio", "hess_ratio", "grad_sup_ratio")]
         assert len(flat) == 3
@@ -399,16 +437,30 @@ def test_nslope_slope_and_filtering():
                  f_label="error: x", route="failed"),
         make_row("energy", 2, 1.0, "weak_identity", 0.0, 0.0, 0.0,
                  f_label="tanh|p", route="grid"),
+        # deterministic grid rows, equal up to roundoff
+        make_row("energy", 1, 1.0, "hess_ratio", 0.25, 0.0, 1.0,
+                 f_label="tanh", route="grid"),
+        make_row("energy", 2, 1.0, "hess_ratio", 0.25 + 1e-15, 0.0, 1.0,
+                 f_label="tanh", route="grid"),
     ]
     table = harness.nslope_table(cfg, EstimateReport(rows=rows))
     assert {(r["f"], r["quantity"]) for r in table} == {
-        ("tanh", "L2_ratio"), ("cos", "grad_ratio")}
+        ("tanh", "L2_ratio"), ("cos", "grad_ratio"), ("tanh", "hess_ratio")}
 
-    tanh_row = next(r for r in table if r["f"] == "tanh")
+    tanh_row = next(r for r in table
+                    if (r["f"], r["quantity"]) == ("tanh", "L2_ratio"))
     want = np.polyfit([1.0, 2.0, 4.0], [0.50, 0.50, 0.52], 1)[0]
     assert tanh_row["slope"] == pytest.approx(want, rel=1e-12)
-    assert tanh_row["allowance"] == 0.0
+    # a group of grid rows carries the grid's bias allowance
+    assert tanh_row["allowance"] == pytest.approx(
+        4.0 * cfg.grid_mesh ** 2 * np.mean([0.50, 0.50, 0.52]) / 3.0,
+        rel=1e-12)
     assert tanh_row["pass"]
+
+    # zero standard error: a roundoff slope passes on the allowance
+    flat_row = next(r for r in table if r["quantity"] == "hess_ratio")
+    assert flat_row["std_error"] == 0.0 and flat_row["slope"] != 0.0
+    assert 0.0 < flat_row["allowance"] and flat_row["pass"]
 
     cos_row = next(r for r in table if r["f"] == "cos")
     want = np.polyfit([2.0, 4.0], [0.40, 0.41], 1)[0]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ouelliptic.norms import sn_mean, sn_sqrt_ratio
+from ouelliptic.norms import sn_sqrt_ratio
 
 
 def reference_one_term(num_sq, den_sq, logw, num_sq_var=None):
@@ -97,17 +97,3 @@ def test_one_term_matches_log_ratio_delta_method(debias):
         assert est == pytest.approx(want_est, rel=1e-12)
         assert se == pytest.approx(want_se, rel=1e-12)
 
-
-@pytest.mark.parametrize("size", [2, 3, 1001, 50_000])
-def test_sn_mean_terms_match_rowwise_calls(size):
-    """A (terms, samples) call gives, bit for bit, the floats of one
-    (samples,) call per row; a (samples,) call still gives floats."""
-    rng = np.random.default_rng(size)
-    values = rng.standard_normal((10, size)) * rng.gamma(2.0, size=(10, 1))
-    logw = 3.0 * rng.standard_normal(size)
-    est, se = sn_mean(values, logw)
-    assert est.shape == se.shape == (10,)
-    for row, e, s in zip(values, est, se):
-        one = sn_mean(row, logw)
-        assert type(one[0]) is float and type(one[1]) is float
-        assert one == (e, s)
