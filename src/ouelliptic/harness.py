@@ -57,6 +57,7 @@ _EM_REL = 1.0           # Euler weak bias ~ dt * (1 + 1/lam) per unit bound;
                         # kept for exact paths until an oracle measures them
 _WEAK_COEF = 25.0       # weak-identity allowance in units of mesh^2
 _LADDER_SAMPLES = 20_000
+_BLOCK_ROWS = 2_048     # cloud rows drawn and evaluated at once
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +450,17 @@ def verify_domain_equivalence(cfg: ExperimentConfig) -> EstimateReport:
 
 
 def _domain_rows(cfg: ExperimentConfig, n: int) -> list:
+    """The domain-equivalence and dissipativity rows at dimension n.
+
+    The importance-sampling cloud holds norm_samples standard normal
+    draws, clipped one mesh inside the grid box, weighted by e^{-U}.  Each
+    test function is evaluated on it in blocks of _BLOCK_ROWS rows, and
+    each block is reduced at once to the per-point u, |grad u|^2,
+    ||D2 u||_HS^2 and Lu, so no (points, n, n) Hessian of the whole cloud
+    exists; the integrals are then taken over the whole cloud, so the
+    rows do not depend on the block size.
+    """
     w = make_weight(cfg, n)
-    # importance-sampling cloud: standard normal draws clipped one mesh
-    # inside the grid box, and their log weights
     x = substream(cfg.seed, NORM_TAG, 3, n).standard_normal(
         (cfg.norm_samples, n))
     np.clip(x, -cfg.grid_radius + cfg.grid_mesh,
@@ -460,15 +469,18 @@ def _domain_rows(cfg: ExperimentConfig, n: int) -> list:
     rows = []
     for name in cfg.test_functions:
         u = make_test_function(name, n)
-        uv = np.asarray(u(x), dtype=float)
-        ug = u.gradient(x)
-        uh = u.hessian(x)
-        lu = grid.apply_generator(w, u, x)
+        uv, gsq, hsq, lu = np.empty((4, len(x)))
+        for start in range(0, len(x), _BLOCK_ROWS):
+            xb = x[start:start + _BLOCK_ROWS]
+            block = slice(start, start + len(xb))
+            uv[block] = u(xb)
+            ug = u.gradient(xb)
+            gsq[block] = np.sum(ug * ug, -1)
+            hsq[block] = np.sum(np.square(u.hessian(xb)), (-2, -1))
+            lu[block] = grid.apply_generator(w, u, xb)
         usq = uv * uv
         graph = np.stack([usq, lu * lu])
-        # squared in place: uh is the largest array of the stage
-        w22 = np.stack([usq, np.sum(ug * ug, -1),
-                        np.sum(np.square(uh, out=uh), (-2, -1))])
+        w22 = np.stack([usq, gsq, hsq])
 
         est, se = sn_sqrt_ratio(graph, w22, logw)
         rows.append(make_row(cfg.weight, n, 0.0, "domain_equiv_ratio",
@@ -482,7 +494,7 @@ def _domain_rows(cfg: ExperimentConfig, n: int) -> list:
         rows.append(make_row(cfg.weight, n, 0.0, "dissipativity",
                              est, se, 0.0, f_label=name, route="analytic"))
         # released before the next function's arrays are built
-        del uv, ug, uh, lu, usq, graph, w22
+        del uv, gsq, hsq, lu, usq, graph, w22
     return rows
 
 
@@ -514,11 +526,17 @@ def _ladder_rung(cfg: ExperimentConfig, n: int) -> dict:
 
     Max-endpoint draws the cloud in all modes from N(0, I), weights it
     by e^{-U} and reads the full weight's subgradient in the first n
-    coordinates.  A separable weight (linear_grad) has the product
-    measure N(0, 1 / (1 + linear_grad_i)) and a drift whose first n
-    coordinates read only x_1..x_n, so the rung draws those n
-    coordinates exactly, with log weights 0, and the residual it
-    estimates is the reduced one.
+    coordinates.  The cloud is drawn and evaluated in blocks of
+    _BLOCK_ROWS rows, one after another from one generator, and a block
+    keeps only its log weights, its first n coordinates and their
+    subgradient columns.  The draws do not depend on the block size; the
+    weight's path matrix product may, in its last bit, where the BLAS
+    tiling of a block differs from that of the whole cloud (seen with
+    OpenBLAS at time_points 256, not at 64 or 128).  A separable weight
+    (linear_grad) has the product measure N(0, 1 / (1 + linear_grad_i))
+    and a drift whose first n coordinates read only x_1..x_n, so the rung
+    draws those n coordinates exactly, with log weights 0, and the
+    residual it estimates is the reduced one.
     """
     lam = float(cfg.lambdas[0])
     f = make_test_function("tanh", 1)
@@ -530,11 +548,16 @@ def _ladder_rung(cfg: ExperimentConfig, n: int) -> dict:
         full = wiener.max_endpoint_convex_weight(p["modes"],
                                                  time_points=p["time_points"])
         w_eps = _mollified_weight(cfg, n, eps)
-        xm = rng.standard_normal((_LADDER_SAMPLES, p["modes"]))
-        np.clip(xm[:, :n], lo, hi, out=xm[:, :n])
-        value, grad = full.value_subgrad(xm)
-        logw = -np.asarray(value, dtype=float)
-        xi, g_full = xm[:, :n], np.asarray(grad, dtype=float)[:, :n]
+        logw = np.empty(_LADDER_SAMPLES)
+        xi, g_full = np.empty((2, _LADDER_SAMPLES, n))
+        for start in range(0, _LADDER_SAMPLES, _BLOCK_ROWS):
+            xm = rng.standard_normal(
+                (min(_BLOCK_ROWS, _LADDER_SAMPLES - start), p["modes"]))
+            np.clip(xm[:, :n], lo, hi, out=xm[:, :n])
+            value, grad = full.value_subgrad(xm)
+            block = slice(start, start + len(xm))
+            logw[block] = -np.asarray(value, dtype=float)
+            xi[block], g_full[block] = xm[:, :n], grad[:, :n]
     else:
         # mollifying a quadratic adds only a constant (the kernel is
         # symmetric), which the drift never reads

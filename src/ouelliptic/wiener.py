@@ -121,16 +121,19 @@ def max_endpoint_convex_weight(modes: int,
         paths = np.asarray(x, dtype=float) @ hmat
         return np.max(paths, axis=-1) + paths[..., -1]
 
+    def subgrad_of(paths):
+        # h(argmax) + h(1): one gathered array, h_end added in place; take
+        # copies even for one path, where indexing would give a view
+        g = hmat.T.take(np.argmax(paths, axis=-1), axis=0)
+        g += h_end
+        return g
+
     def grad(x):
-        x = np.asarray(x, dtype=float)
-        paths = x @ hmat
-        idx = np.argmax(paths, axis=-1)
-        return hmat.T[idx] + h_end
+        return subgrad_of(np.asarray(x, dtype=float) @ hmat)
 
     def both(x):
         paths = np.asarray(x, dtype=float) @ hmat
-        return (np.max(paths, axis=-1) + paths[..., -1],
-                hmat.T[np.argmax(paths, axis=-1)] + h_end)
+        return np.max(paths, axis=-1) + paths[..., -1], subgrad_of(paths)
 
     return ConvexWeight(dim=modes, eval=val, subgrad=grad, grad_lip=None,
                         label="max-endpoint", eval_subgrad=both)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -493,6 +494,57 @@ def test_separable_ladder_rungs_are_resolved(weight):
     assert not failed and [r["n"] for r in table] == [1, 2]
     for r in table:
         assert 0.0 < r["std_error"] <= 0.02 * r["residual_l2"], r
+
+
+def small_max_endpoint_cfg(**overrides):
+    return small_cfg(weight="max-endpoint", dims=(1, 2), lambdas=(0.5,),
+                     grid_radius=5.0, grid_mesh=1 / 8, weight_params=dict(
+                         modes=256, tail_samples=8, time_points=64,
+                         epsilon=0.25), **overrides)
+
+
+def test_cloud_stages_do_not_depend_on_block_size(monkeypatch):
+    """The rung's and the domain rows' clouds are drawn and evaluated in
+    row blocks; 1,000-row blocks, with a partial last block, give the
+    same bits as one block holding the whole cloud."""
+    rung_cfg = small_max_endpoint_cfg()
+    domain_cfg = small_cfg(weight="energy", dims=(4,), norm_samples=4_500,
+                           test_functions=("const", "tanh", "cos", "step"))
+    harness._max_endpoint_table.cache_clear()
+    results = []
+    for rows in (1_000, max(harness._LADDER_SAMPLES, domain_cfg.norm_samples)):
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", rows)
+        results.append(([harness._ladder_rung(rung_cfg, n) for n in (1, 2)],
+                        harness._domain_rows(domain_cfg, 4)))
+    harness._max_endpoint_table.cache_clear()
+    (rungs, domain), (rungs_whole, domain_whole) = results
+    assert rungs == rungs_whole and domain == domain_whole
+    assert len(domain) == 12 and all(r.passed for r in domain)
+
+
+def _traced_peak_mb(stage) -> float:
+    tracemalloc.start()
+    try:
+        stage()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_cloud_stages_peak_memory():
+    """Neither cloud stage holds a whole-cloud array wider than n: the
+    max-endpoint rung keeps n of the 256 mode columns, and the domain rows
+    never build the (points, n, n) Hessian of the whole cloud.  With
+    whole-cloud arrays the two read 127 and 58 MB."""
+    cfg = small_max_endpoint_cfg()
+    harness._max_endpoint_table.cache_clear()
+    harness._mollified_weight(cfg, 1)       # the table is not the rung's
+    rung_mb = _traced_peak_mb(lambda: harness._ladder_rung(cfg, 1))
+    harness._max_endpoint_table.cache_clear()
+    domain_mb = _traced_peak_mb(lambda: harness._domain_rows(
+        small_cfg(weight="energy", dims=(4,), norm_samples=200_000,
+                  test_functions=("const", "tanh", "cos", "step")), 4))
+    assert rung_mb <= 40.0 and domain_mb <= 45.0, (rung_mb, domain_mb)
 
 
 # ---------------------------------------------------------------------------
