@@ -6,7 +6,10 @@ and a is given on those coordinates only.  So grad f = g'(<a, x_c>) a
 and D^2 f = g''(<a, x_c>) a (x) a, both zero off coords.  Functions are
 evaluated on points of any dimension >= active_dim and are vectorized
 over leading axes.  The Monte Carlo engine reads (coords, a, g) directly,
-so a separable diffusion only has to carry the projection <a, X_t>.
+so a separable diffusion only has to carry the projection <a, X_t>; the
+harness's domain rows read (coords, a, g, dg, d2g), so |grad f|^2 =
+g'^2 |a|^2, ||D^2 f||_HS^2 = (g'' |a|^2)^2 and the generator applied to
+f are per-point vectors, with no gradient or Hessian array built.
 """
 from __future__ import annotations
 

@@ -14,6 +14,12 @@ side at a given lam.  The mirrored five-point stencil has a symmetric
 sparsity pattern, so SuperLU orders its columns by minimum degree on
 A^T + A (MMD_AT_PLUS_A), which gives sparser factors and a faster solve
 than the default COLAMD ordering.
+
+scipy.sparse is imported by the first assembly or solve, not with the
+module, so a run that solves no grid problem never loads scipy.
+apply_generator is the generic L u of any function with a gradient and a
+Hessian diagonal, kept as the reference the closed-form domain rows are
+tested against.
 """
 from __future__ import annotations
 
@@ -22,8 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .weights import ConvexWeight
 
@@ -81,6 +85,8 @@ def assemble_operator(weight: ConvexWeight, spec: GridSpec):
     """Sparse matrix K approximating -L on the grid (row sums zero, so
     constants are in its kernel), reusable across lam and right-hand
     sides."""
+    import scipy.sparse as sp
+
     n = spec.npoints
     h = spec.mesh
     b = weight.drift(spec.points())
@@ -140,6 +146,9 @@ def solve_elliptic_grid(weight: ConvexWeight, fs: Sequence[Callable],
     assemble_operator(...) result as `operator` to skip reassembly when
     solving for several lam with one weight.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if not lam > 0:
         raise ValueError("lam must be positive")
     k = assemble_operator(weight, spec) if operator is None else operator

@@ -30,7 +30,10 @@ pass on their allowance alone.  The Monte Carlo route is restricted to
 coordinatewise-separable weights, for which a test function of the
 first k coordinates has a solution depending on the same k coordinates;
 its derivatives are the pathwise ones in those.  The domain rows and
-the ladder integrate on importance-sampling clouds.
+the ladder integrate on importance-sampling clouds: the domain rows read
+each test function's ridge profile and derivatives in closed form on the
+whole cloud, and the ladder rung draws and evaluates its cloud in row
+blocks.
 """
 from __future__ import annotations
 
@@ -57,7 +60,7 @@ _EM_REL = 1.0           # Euler weak bias ~ dt * (1 + 1/lam) per unit bound;
                         # kept for exact paths until an oracle measures them
 _WEAK_COEF = 25.0       # weak-identity allowance in units of mesh^2
 _LADDER_SAMPLES = 20_000
-_BLOCK_ROWS = 2_048     # cloud rows drawn and evaluated at once
+_BLOCK_ROWS = 2_048     # ladder-rung cloud rows drawn and evaluated at once
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +456,16 @@ def _domain_rows(cfg: ExperimentConfig, n: int) -> list:
     """The domain-equivalence and dissipativity rows at dimension n.
 
     The importance-sampling cloud holds norm_samples standard normal
-    draws, clipped one mesh inside the grid box, weighted by e^{-U}.  Each
-    test function is evaluated on it in blocks of _BLOCK_ROWS rows, and
-    each block is reduced at once to the per-point u, |grad u|^2,
-    ||D2 u||_HS^2 and Lu, so no (points, n, n) Hessian of the whole cloud
-    exists; the integrals are then taken over the whole cloud, so the
-    rows do not depend on the block size.
+    draws, clipped one mesh inside the grid box, weighted by e^{-U}.
+    Every test function is a ridge profile u = g(s), s = <a, x_c>, so its
+    per-point quantities are (points,) vectors in closed form:
+
+      u = g(s)                  |grad u|^2 = g'(s)^2 |a|^2
+      ||D2 u||_HS^2 = (g''(s) |a|^2)^2
+      Lu = g''(s) |a|^2 + g'(s) <b(x)_c, a>,   b = the weight's drift,
+
+    with the drift evaluated once on the whole cloud; no (points, n)
+    gradient or (points, n, n) Hessian is built.
     """
     w = make_weight(cfg, n)
     x = substream(cfg.seed, NORM_TAG, 3, n).standard_normal(
@@ -466,18 +473,17 @@ def _domain_rows(cfg: ExperimentConfig, n: int) -> list:
     np.clip(x, -cfg.grid_radius + cfg.grid_mesh,
             cfg.grid_radius - cfg.grid_mesh, out=x)
     logw = -np.asarray(w.eval(x), dtype=float)
+    b = w.drift(x)
     rows = []
     for name in cfg.test_functions:
         u = make_test_function(name, n)
-        uv, gsq, hsq, lu = np.empty((4, len(x)))
-        for start in range(0, len(x), _BLOCK_ROWS):
-            xb = x[start:start + _BLOCK_ROWS]
-            block = slice(start, start + len(xb))
-            uv[block] = u(xb)
-            ug = u.gradient(xb)
-            gsq[block] = np.sum(ug * ug, -1)
-            hsq[block] = np.sum(np.square(u.hessian(xb)), (-2, -1))
-            lu[block] = grid.apply_generator(w, u, xb)
+        asq = float(u.a @ u.a)
+        s = u.project(x)
+        uv, dg, d2g = u.g(s), u.dg(s), u.d2g(s)
+        gsq = np.square(dg) * asq
+        hsq = np.square(d2g * asq)
+        lu = d2g * asq + dg * (b[:, u.coords] @ u.a)
+        del s, dg, d2g
         usq = uv * uv
         graph = np.stack([usq, lu * lu])
         w22 = np.stack([usq, gsq, hsq])

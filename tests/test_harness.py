@@ -504,9 +504,10 @@ def small_max_endpoint_cfg(**overrides):
 
 
 def test_cloud_stages_do_not_depend_on_block_size(monkeypatch):
-    """The rung's and the domain rows' clouds are drawn and evaluated in
-    row blocks; 1,000-row blocks, with a partial last block, give the
-    same bits as one block holding the whole cloud."""
+    """The rung's cloud is drawn and evaluated in row blocks; 1,000-row
+    blocks, with a partial last block, give the same bits as one block
+    holding the whole cloud.  The domain rows are whole-cloud vectors and
+    must not read the block size at all."""
     rung_cfg = small_max_endpoint_cfg()
     domain_cfg = small_cfg(weight="energy", dims=(4,), norm_samples=4_500,
                            test_functions=("const", "tanh", "cos", "step"))
@@ -529,6 +530,49 @@ def _traced_peak_mb(stage) -> float:
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("weight,n", [("energy", n) for n in (1, 2, 3, 4)]
+                         + [("max-endpoint", n) for n in (1, 2)])
+def test_domain_rows_match_generic_generator(weight, n):
+    """The closed ridge form of the domain rows against the rows rebuilt
+    from u.gradient, u.hessian and grid.apply_generator on the same cloud:
+    bit-identical wherever a = (1.0,) (every product by a is exact), and
+    within 1e-12 relative for cos at n >= 2, whose a = (1, 1)/sqrt(2)
+    rounds |a|^2."""
+    names = ("const", "tanh", "cos", "step")
+    if weight == "energy":
+        cfg = small_cfg(weight="energy", dims=(n,), norm_samples=3_000,
+                        test_functions=names)
+    else:
+        cfg = small_max_endpoint_cfg(norm_samples=3_000, test_functions=names)
+    harness._max_endpoint_table.cache_clear()
+    closed = harness._domain_rows(cfg, n)
+    w = harness.make_weight(cfg, n)
+    x = harness.substream(cfg.seed, harness.NORM_TAG, 3, n).standard_normal(
+        (cfg.norm_samples, n))
+    np.clip(x, -cfg.grid_radius + cfg.grid_mesh,
+            cfg.grid_radius - cfg.grid_mesh, out=x)
+    logw = -np.asarray(w.eval(x), dtype=float)
+    generic = []
+    for name in cfg.test_functions:
+        u = harness.make_test_function(name, n)
+        uv, ug = u(x), u.gradient(x)
+        lu = grid.apply_generator(w, u, x)
+        graph = np.stack([uv * uv, lu * lu])
+        w22 = np.stack([uv * uv, np.sum(ug * ug, -1),
+                        np.sum(np.square(u.hessian(x)), (-2, -1))])
+        generic += [harness.sn_sqrt_ratio(graph, w22, logw),
+                    harness.sn_sqrt_ratio(w22, graph, logw),
+                    harness.sn_mean(uv * lu, logw)]
+    harness._max_endpoint_table.cache_clear()
+    assert len(closed) == len(generic) == 12
+    for row, (est, se) in zip(closed, generic):
+        if row.f_label.startswith("cos") and n >= 2:
+            assert row.estimate == pytest.approx(est, rel=1e-12, abs=1e-300)
+            assert row.std_error == pytest.approx(se, rel=1e-12, abs=1e-300)
+        else:
+            assert (row.estimate, row.std_error) == (est, se), row.f_label
 
 
 def test_cloud_stages_peak_memory():
@@ -994,3 +1038,25 @@ def test_cli_import_leaves_scipy_special_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_mc_route_run_loads_no_scipy(tmp_path):
+    # scipy.sparse costs about 0.1 s of set-up and only the grid solves
+    # use it, so a run that solves no grid problem must not import it
+    ini = tmp_path / "mc.ini"
+    ini.write_text(TINY_INI.replace("dims = 1", "dims = 3\nroute = mc"))
+    code = ("import sys; from ouelliptic import cli; "
+            f"code = cli.main(['verify-estimates', '--config', {str(ini)!r}, "
+            f"'--out', {str(tmp_path / 'run')!r}, '--quiet']); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "0 []"
+    with open(tmp_path / "run" / "tables" / "estimates.csv", newline="") as fh:
+        routes = {r["route"] for r in csv.DictReader(fh)}
+    assert routes == {"mc", "analytic"}
