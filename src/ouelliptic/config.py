@@ -7,7 +7,12 @@ spells out.  A config file is INI with these sections and keys, all
 optional; an absent key keeps its default:
 
   [experiment]  weight, dims, lambdas, test_functions, seed, output_dir, route
-  [mc]          dt, paths, t_max, quad_nodes, cloud
+  [mc]          dt, paths, t_max, quad_nodes, cloud; dt, t_max and
+                quad_nodes set the Euler paths of a non-linear drift
+                (step, resolvent horizon, Laplace nodes).  Paths of a
+                linear drift, the only ones the Monte Carlo route takes,
+                jump exactly to the 16 fixed nodes of mc.laplace_rule;
+                there dt only scales the rows' allowance
   [grid]        radius, mesh, norm_samples
   [weight_params]  coeff, modes, tail_samples, time_points, epsilon; the
                    ones the configured weight reads are range-checked

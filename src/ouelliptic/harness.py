@@ -17,9 +17,10 @@ norm sums: graph = ||u|| + ||Lu||, W22 = ||u|| + ||Du|| + ||D2u||_HS.
 
 A row passes when estimate <= bound + 3*std_error + allowance, where the
 allowance covers deterministic discretization bias (mesh^2 for grid
-solves; the time step for Monte Carlo solves, whose paths take the exact
-transition of the linear drift, never an Euler step, with dt setting the
-observation grid) and is reported in the CSV tables.  Rows whose
+solves; [mc] dt for Monte Carlo solves, although their paths take the
+exact transition of the linear drift, never an Euler step, and are
+observed at the 16 nodes of a time rule that errs by about 5e-6
+relative) and is reported in the CSV tables.  Rows whose
 inequality is lambda-free carry lambda = 0.
 
 Solutions come from the finite-difference grid for n <= 2 and from
@@ -49,7 +50,7 @@ import numpy as np
 from . import cylinder, galerkin, grid, wiener
 from .config import ConfigError, ExperimentConfig, load_config
 from .mc import resolvent_batch
-from .norms import sn_mean, sn_sqrt_ratio, sn_norm
+from .norms import sn_mean, sn_norm, sn_sqrt_ratio, sn_sqrt_ratio_pair
 from .rng import MISC_TAG, NORM_TAG, mix64, substream
 from .weights import ConvexWeight, diagonal_quadratic_weight, zero_weight
 
@@ -57,7 +58,8 @@ DOMAIN_CONSTANT = 2.0 + math.sqrt(2.0)
 HESS_CONSTANT = math.sqrt(2.0)
 
 _EM_REL = 1.0           # Euler weak bias ~ dt * (1 + 1/lam) per unit bound;
-                        # kept for exact paths until an oracle measures them
+                        # exact paths never step at dt, but keep it until
+                        # the oracle's errors set the allowance
 _WEAK_COEF = 25.0       # weak-identity allowance in units of mesh^2
 _LADDER_SAMPLES = 20_000
 _BLOCK_ROWS = 2_048     # ladder-rung cloud rows drawn and evaluated at once
@@ -262,8 +264,7 @@ def _mc_allowance(bound: float, lam: float, cfg: ExperimentConfig) -> float:
 
 def _solution_rows(cfg: ExperimentConfig, n: int, lam: float, name: str,
                    f: cylinder.CylinderFunction, jet, ratio, allowance,
-                   route: str, jet_var=(None, None, None),
-                   tail: float = 0.0) -> list:
+                   route: str, jet_var=(None, None, None)) -> list:
     """The L2, grad, hess, sup and grad_sup ratio rows of one solution.
 
     jet = (u, |grad u|^2, ||D2 u||_HS^2) at the route's points: the grid
@@ -271,8 +272,7 @@ def _solution_rows(cfg: ExperimentConfig, n: int, lam: float, name: str,
     gives sqrt(E_nu[vals]) / ||f|| and its standard error: an exact node
     sum with error 0 on the grid, an importance-sampled ratio on the
     cloud.  A Monte Carlo solution also passes the per-point sampling
-    variances of the three (jet_var) and the truncated tail of its time
-    integral, which is added to every standard error.  A constant f has
+    variances of the three (jet_var).  A constant f has
     derivatives that vanish exactly, so its derivative rows are 0.  The
     sup rows, written when f declares its sup norm, take the largest |u|
     and |grad u| over the points.  allowance(bound) is the route's
@@ -296,10 +296,9 @@ def _solution_rows(cfg: ExperimentConfig, n: int, lam: float, name: str,
         elif "sup" in quantity:
             k = int(np.argmax(vals))
             est = vals[k] / f.sup_norm
-            se = tail if var is None else math.sqrt(var[k]) / f.sup_norm + tail
+            se = 0.0 if var is None else math.sqrt(var[k]) / f.sup_norm
         else:
             est, se = ratio(vals, var)
-            se += tail
         rows.append(make_row(cfg.weight, n, lam, quantity, est, se, bound,
                              allowance=allowance(bound),
                              f_label=name, route=route))
@@ -388,8 +387,9 @@ def _mc_rows(cfg: ExperimentConfig, n: int) -> list:
     xc = rng.standard_normal((cfg.mc_cloud, n)) / np.sqrt(
         1.0 + np.asarray(w.linear_grad))
     mc_cfg = dataclasses.replace(cfg.mc, seed=int(mix64(cfg.seed, 7001, n)))
-    acc, tails = resolvent_batch(w, xc, [f for _, f in fs],
-                                 list(cfg.lambdas), mc_cfg)
+    # exact paths: the time rule cuts off no tail
+    acc, _ = resolvent_batch(w, xc, [f for _, f in fs],
+                             list(cfg.lambdas), mc_cfg)
 
     zeros = np.zeros(cfg.mc_cloud)
     rows = []
@@ -405,7 +405,7 @@ def _mc_rows(cfg: ExperimentConfig, n: int) -> list:
                 lambda vals, var: sn_sqrt_ratio(vals, fsq, zeros,
                                                 num_sq_var=var),
                 lambda bound: _mc_allowance(bound, lam, cfg), "mc",
-                (uvar, gvar.sum(0), hvar.sum((0, 1))), tails[i][j])
+                (uvar, gvar.sum(0), hvar.sum((0, 1))))
     return rows
 
 
@@ -465,7 +465,9 @@ def _domain_rows(cfg: ExperimentConfig, n: int) -> list:
       Lu = g''(s) |a|^2 + g'(s) <b(x)_c, a>,   b = the weight's drift,
 
     with the drift evaluated once on the whole cloud; no (points, n)
-    gradient or (points, n, n) Hessian is built.
+    gradient or (points, n, n) Hessian is built.  The graph and W22 norm
+    sums and their influence functions are formed once and give both
+    graph/W22 and W22/graph (sn_sqrt_ratio_pair).
     """
     w = make_weight(cfg, n)
     x = substream(cfg.seed, NORM_TAG, 3, n).standard_normal(
@@ -488,13 +490,12 @@ def _domain_rows(cfg: ExperimentConfig, n: int) -> list:
         graph = np.stack([usq, lu * lu])
         w22 = np.stack([usq, gsq, hsq])
 
-        est, se = sn_sqrt_ratio(graph, w22, logw)
+        (est, se), (inv, inv_se) = sn_sqrt_ratio_pair(graph, w22, logw)
         rows.append(make_row(cfg.weight, n, 0.0, "domain_equiv_ratio",
                              est, se, 1.0, f_label=f"{name}|graph/W22",
                              route="analytic"))
-        est, se = sn_sqrt_ratio(w22, graph, logw)
         rows.append(make_row(cfg.weight, n, 0.0, "domain_equiv_ratio",
-                             est, se, DOMAIN_CONSTANT,
+                             inv, inv_se, DOMAIN_CONSTANT,
                              f_label=f"{name}|W22/graph", route="analytic"))
         est, se = sn_mean(uv * lu, logw)
         rows.append(make_row(cfg.weight, n, 0.0, "dissipativity",

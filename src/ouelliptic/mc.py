@@ -2,23 +2,30 @@
 
 The diffusion dX = -(grad phi(X) + X) dt + sqrt(2) dW has the weighted
 operator as its generator; expectations of f(X_t) started at xi give the
-semigroup, and an exponentially weighted time quadrature along the same
-trajectories gives the resolvent.  Paths take the exact transition for
-linear drifts, Euler otherwise; dt sets the observation grid.  A weight
-that declares ``linear_grad = g`` has the drift -kappa x with
-kappa = 1 + g, whose transition over any time is exactly Gaussian, so
-those paths carry no time-step bias.  There X_t = e^{-kappa t} xi + N_t
-with N_t independent of the start, so the resolvent observes each ridge
-test function g(<a, x>) through <a, e^{-kappa t} xi> (one value per
-start) plus <a, N_t> (one value per path) and never builds the
-(starts, paths, n) states.  Since X_t is affine in the start, the same
-pass gives the resolvent's gradient and Hessian in the start path by
-path, from g' and g'' (the pathwise derivative estimator).  Noise is
-drawn from counter-based per-path Philox streams keyed by (seed, path
-index), one normal per coordinate per step on either path, so results
-are bit-identical for a fixed (seed, config) regardless of chunking,
-thread count or evaluation order, and runs from different starting
-points share the same noise (common random numbers).
+semigroup, and an exponentially weighted time integral along the same
+trajectories gives the resolvent.  A weight that declares
+``linear_grad = g`` has the drift -kappa x with kappa = 1 + g, whose
+transition over any time is exactly Gaussian: X_t = e^{-kappa t} xi +
+N_t with N_t independent of the start (the Mehler formula).  Those
+paths are observed only at the times they are needed, each jump one
+exact transition: the terminal time of simulate_terminal, or the
+TIME_NODES lam-free nodes of the resolvent's time rule (laplace_rule),
+so they carry no time-step bias and no truncated horizon.  Every other
+weight takes Euler-Maruyama steps of at most dt up to a horizon, with
+t_max and quad_nodes setting the resolvent's horizon and Laplace nodes.
+
+On the exact paths the resolvent observes each ridge test function
+g(<a, x>) through <a, e^{-kappa t} xi> (one value per start) plus
+<a, N_t> (one value per path) and never builds the (starts, paths, n)
+states.  Since X_t is affine in the start, the same pass gives the
+resolvent's gradient and Hessian in the start path by path, from g' and
+g'' (the pathwise derivative estimator); resolvent_oracle gives the
+same three exactly, on the same time nodes.  Noise is drawn from
+counter-based per-path Philox streams keyed by (seed, path index): one
+normal per coordinate per Euler step, or per observation time of an
+exact path.  So results are bit-identical for a fixed (seed, config)
+regardless of chunking, thread count or evaluation order, and runs from
+different starting points share the same noise (common random numbers).
 """
 from __future__ import annotations
 
@@ -34,11 +41,20 @@ from .weights import ConvexWeight
 # paths per chunk keep starts x paths x n under this many floats: the
 # Euler states, or the exact branch's per-start observer values
 _STATE_BUDGET = 5_000_000
-_NOISE_BLOCK = 256          # diffusion steps drawn per RNG call
+_NOISE_BLOCK = 256          # Euler steps drawn per RNG call
+# Gauss-Legendre nodes in v = e^{-t/2} of the exact resolvent's time rule;
+# measured against a 96-node reference on the energy weight (n = 2, 4,
+# tanh and step), 16 nodes err by at most 4.6e-6 relative
+TIME_NODES = 16
 
 
 @dataclass(frozen=True)
 class DiffusionConfig:
+    """Paths, seed, and the Euler branch's step, horizon and Laplace nodes.
+
+    dt, t_max and quad_nodes reach only weights without linear_grad:
+    exact paths jump straight to the times they are observed at.
+    """
     dt: float
     paths: int
     seed: int
@@ -86,6 +102,11 @@ def _step_count(t: float, dt: float) -> int:
     return max(1, int(np.ceil(t / dt - 1e-12))) if t > 0 else 0
 
 
+def _kappa(weight: ConvexWeight) -> np.ndarray:
+    """Rates kappa = 1 + linear_grad of a linear drift, as a column (n, 1)."""
+    return 1.0 + np.asarray(weight.linear_grad, dtype=float)[:, None]
+
+
 def ou_transition(kappa: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact transition of dX = -kappa X dt + sqrt(2) dW over time tau.
 
@@ -96,19 +117,61 @@ def ou_transition(kappa: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray
     return np.exp(-kappa * tau), np.sqrt(-np.expm1(-2.0 * kappa * tau) / kappa)
 
 
+def laplace_rule(lams: Sequence[float], count: int = TIME_NODES):
+    """The lam-free time nodes of int_0^inf e^{-lam t} h(t) dt, and each
+    lam's weights.
+
+    With v = e^{-t/2} the integral is int_0^1 2 v^{2 lam - 1} h(-2 ln v) dv.
+    Gauss-Legendre nodes v_k on (0, 1) with weights W_k give the times
+    t_k = -2 ln v_k, ascending and shared by every lam, and the weights
+    2 W_k v_k^{2 lam - 1}; no horizon is cut off.  The rule is exact when
+    h(-2 ln v) v^{2 lam - 1} is a polynomial in v of degree < 2 count, as
+    for h = e^{-k t} and 2 lam a positive integer.  Returns (times
+    (count,), weights (len(lams), count)).
+    """
+    v, w = np.polynomial.legendre.leggauss(count)
+    v, w = (1.0 - v) / 2.0, w / 2.0      # v descending, so t ascending
+    return (-2.0 * np.log(v),
+            np.array([2.0 * w * v ** (2.0 * lam - 1.0) for lam in lams]))
+
+
+def _exact_paths(kappa: np.ndarray, times: np.ndarray, cfg: DiffusionConfig,
+                 per_path: int, observer: Callable) -> None:
+    """Exact paths of dX = -kappa X dt + sqrt(2) dW at the ascending times.
+
+    kappa is a column (n, 1).  No state is built: X_t = e^{-kappa t} X_0 +
+    N_t coordinatewise, and the start-free part N jumps from each time to
+    the next by one ou_transition.  observer(k, y, path_slice) fires at
+    times[k] with y = N_{times[k]} of those paths, (n, B).  Each path
+    draws one (len(times), n) array of its path_stream.  Chunks keep
+    paths x per_path, the floats the observer holds per path, under
+    _STATE_BUDGET.
+    """
+    n = kappa.shape[0]
+    jumps = [ou_transition(kappa, tau) for tau in np.diff(times, prepend=0.0)]
+    chunk = max(1, min(cfg.paths, _STATE_BUDGET // max(1, per_path)))
+    for p0 in range(0, cfg.paths, chunk):
+        p1 = min(p0 + chunk, cfg.paths)
+        sl = slice(p0, p1)
+        # (times, n, B): coordinate-major noise keeps the inner loops long
+        noise = np.stack([path_stream(cfg.seed, p).standard_normal((len(times), n))
+                          for p in range(p0, p1)], axis=-1)
+        y = np.zeros((n, p1 - p0))
+        for k, (decay, scale) in enumerate(jumps):
+            y *= decay
+            y += scale * noise[k]
+            observer(k, y, sl)
+
+
 def _run_paths(weight: ConvexWeight, starts: np.ndarray, t_end: float,
                cfg: DiffusionConfig, snap_steps: Sequence[int],
                observer: Callable) -> None:
-    """Paths over [0, t_end] on the grid of uniform steps <= cfg.dt.
+    """Euler-Maruyama paths over [0, t_end] on the grid of uniform steps
+    <= cfg.dt.
 
     starts: (S, n) initial points advanced jointly under shared per-path
-    noise.  observer(step_index, decay, y, path_slice) fires at step 0 and
-    at every index in snap_steps.  For a weight with linear_grad no state
-    is built: X_t = decay * start + N_t coordinatewise, with decay =
-    e^{-kappa t} of shape (n, 1) and y = N_t, the start-independent part
-    (n, B) that every start shares, advanced step by step with the exact
-    one-step map.  Every other weight takes Euler-Maruyama steps on all
-    states and passes decay None and y the states (S, B, n).
+    noise.  observer(step_index, x, path_slice) fires at step 0 and at
+    every index in snap_steps, with x the states (S, B, n).
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     s_count, n = starts.shape
@@ -117,21 +180,12 @@ def _run_paths(weight: ConvexWeight, starts: np.ndarray, t_end: float,
     snap = set(int(k) for k in snap_steps)
     chunk = max(1, min(cfg.paths, _STATE_BUDGET // max(1, s_count * n)))
     sq = np.sqrt(2.0 * dt)
-    exact = weight.linear_grad is not None
-    if exact:
-        # coordinate-major (n, B) noise keeps the inner loops long
-        kappa = 1.0 + np.asarray(weight.linear_grad, dtype=float)[:, None]
-        one_step, scale = ou_transition(kappa, dt)
 
     for p0 in range(0, cfg.paths, chunk):
         p1 = min(p0 + chunk, cfg.paths)
         b, sl = p1 - p0, slice(p0, p1)
-        if exact:
-            x = np.zeros((n, b))
-            observer(0, np.ones((n, 1)), x, sl)
-        else:
-            x = np.repeat(starts[:, None, :], b, axis=1)
-            observer(0, None, x, sl)
+        x = np.repeat(starts[:, None, :], b, axis=1)
+        observer(0, x, sl)
         if steps == 0:
             continue
         gens = [path_stream(cfg.seed, p) for p in range(p0, p1)]
@@ -139,18 +193,11 @@ def _run_paths(weight: ConvexWeight, starts: np.ndarray, t_end: float,
         while done < steps:
             blk = min(_NOISE_BLOCK, steps - done)
             noise = np.stack([g.standard_normal((blk, n)) for g in gens], axis=0)
-            if exact:
-                noise = np.ascontiguousarray(noise.transpose(1, 2, 0))
             for k in range(blk):
                 done += 1
-                if exact:
-                    x *= one_step
-                    x += scale * noise[k]
-                else:
-                    x += dt * weight.drift(x) + sq * noise[:, k, :]
+                x += dt * weight.drift(x) + sq * noise[:, k, :]
                 if done in snap:
-                    observer(done, np.exp(-kappa * (done * dt)) if exact else None,
-                             x, sl)
+                    observer(done, x, sl)
 
 
 def simulate_terminal(weight: ConvexWeight, xi0: np.ndarray, t: float,
@@ -158,25 +205,32 @@ def simulate_terminal(weight: ConvexWeight, xi0: np.ndarray, t: float,
     """Terminal points X_t of cfg.paths trajectories.
 
     xi0 is one start (n,), giving (paths, n), or a batch of starts (S, n)
-    advanced under shared per-path noise, giving (S, paths, n).
+    advanced under shared per-path noise, giving (S, paths, n).  A weight
+    with linear_grad takes one exact transition to t; any other takes
+    Euler steps of at most cfg.dt.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     xi0 = np.asarray(xi0, dtype=float)
     starts = np.atleast_2d(xi0)
     out = np.empty((starts.shape[0], cfg.paths, starts.shape[1]))
-    steps = _step_count(t, cfg.dt)
+    if weight.linear_grad is None:
+        steps = _step_count(t, cfg.dt)
 
-    def grab(step, decay, y, sl):
-        if step != steps:
-            return
-        if decay is None:
-            out[:, sl] = y
-        else:
-            np.add((decay * starts.T)[:, :, None], y[:, None, :],
+        def grab(step, x, sl):
+            if step == steps:
+                out[:, sl] = x
+
+        _run_paths(weight, starts, t, cfg, [steps], grab)
+    else:
+        kappa = _kappa(weight)
+        mean = np.exp(-kappa * t) * starts.T
+
+        def jump(k, y, sl):
+            np.add(mean[:, :, None], y[:, None, :],
                    out=out[:, sl].transpose(2, 0, 1))
 
-    _run_paths(weight, starts, t, cfg, [steps], grab)
+        _exact_paths(kappa, np.array([float(t)]), cfg, starts.size, jump)
     return out if xi0.ndim == 2 else out[0]
 
 
@@ -206,9 +260,10 @@ def resolvent_apply(weight: ConvexWeight, f: CylinderFunction, lam: float,
                     xi: np.ndarray, cfg: DiffusionConfig) -> MCValue:
     """Estimate of the resolvent R(lam) f(xi) = int_0^inf e^{-lam t} T_t f dt.
 
-    The truncated tail is bounded by sup|f| e^{-lam t_hor}/lam (using the
-    declared sup_norm of f when available, else the largest |f| seen along
-    the trajectories) and folded into the reported error.
+    Euler paths cut the integral off at a horizon; the truncated tail is
+    bounded by sup|f| e^{-lam t_hor}/lam (using the declared sup_norm of
+    f when available, else the largest |f| seen along the trajectories)
+    and folded into the reported error.  Exact paths cut nothing off.
     """
     acc, tails = resolvent_batch(weight, np.reshape(xi, (1, -1)), [f], [lam], cfg)
     return MCValue.of_paths(acc[0][0].value[0], extra_error=tails[0][0])
@@ -265,30 +320,101 @@ def resolvent_batch(weight: ConvexWeight, starts: np.ndarray,
                     cfg: DiffusionConfig):
     """Per-path resolvent accumulators for many (lam, f) pairs at once.
 
-    One trajectory ensemble serves every pair: each lam gets its own node
-    set and weights on a shared step grid reaching the largest horizon
-    max(8/lam, cfg.t_max).  Returns (acc, tails) with acc[i_lam][i_f] the
-    PathJet at the S starts and tails[i_lam][i_f] the analytic bound on
-    the truncated time integral.
+    One trajectory ensemble serves every pair.  Returns (acc, tails) with
+    acc[i_lam][i_f] the PathJet at the S starts and tails[i_lam][i_f] the
+    bound on the time integral cut off at the horizon.
 
-    For a weight with linear_grad each ridge function f = g(<a, x_c>) is
-    observed through its projection alpha + beta, with alpha =
-    <a, e^{-kappa t} start_c> per start and beta = <a, N_t> per path.
-    With d = a e^{-kappa_c t}, a node of weight w adds w g to the value,
-    w d_i g' to gradient entry i and w d_i d_j g'' to Hessian entry
-    (i, j): the pathwise derivatives of g(<a, X_t>) in the start
-    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
-    sec. 7.2).  A cosine profile is cos(alpha) cos(beta) - sin(alpha)
-    sin(beta), and its g' and g'' are the same sum with the (cos, sin)
-    of alpha turned by a quarter turn each: one transcendental per start
-    and per path, summed over the nodes after the run by einsum
-    contractions, which, unlike a BLAS product, add the nodes in order
-    for every entry, so the sums do not depend on how the paths are
-    chunked.
+    For a weight with linear_grad the paths are observed at the lam-free
+    nodes of laplace_rule, so every lam sees the same observations, and
+    the tails are 0.  Each ridge function f = g(<a, x_c>) is observed
+    through its projection alpha + beta, with alpha = <a, e^{-kappa t}
+    start_c> per start and beta = <a, N_t> per path.  With d =
+    a e^{-kappa_c t}, a node of weight w adds w g to the value, w d_i g'
+    to gradient entry i and w d_i d_j g'' to Hessian entry (i, j): the
+    pathwise derivatives of g(<a, X_t>) in the start (Glasserman, Monte
+    Carlo Methods in Financial Engineering, 2003, sec. 7.2).  A cosine
+    profile is cos(alpha) cos(beta) - sin(alpha) sin(beta), and its g'
+    and g'' are the same sum with the (cos, sin) of alpha turned by a
+    quarter turn each: one transcendental per start and per path, summed
+    over the nodes after the run by einsum contractions, which, unlike a
+    BLAS product, add the nodes in order for every entry, so the sums do
+    not depend on how the paths are chunked.
+
+    Any other weight takes Euler steps of at most cfg.dt up to the
+    horizon max(8/lam, cfg.t_max) of the smallest lam; each lam gets about
+    cfg.quad_nodes Laplace nodes on that step grid (_laplace_nodes) and
+    gives the value only.
     """
     if not all(lam > 0 for lam in lams):
         raise ValueError("lam must be positive")
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    if weight.linear_grad is None:
+        return _euler_resolvent(weight, starts, fs, lams, cfg)
+    return _exact_resolvent(weight, starts, fs, lams, cfg), [
+        [0.0] * len(fs) for _ in lams]
+
+
+def _exact_resolvent(weight, starts, fs, lams, cfg) -> list:
+    """resolvent_batch's accumulators for a weight with linear_grad."""
+    kappa = _kappa(weight)
+    times, node_w = laplace_rule(lams)
+    decays = np.exp(-kappa[:, 0] * times[:, None])          # (nodes, n)
+    s_count = starts.shape[0]
+
+    def zeros(*shape):
+        return np.zeros(shape + (s_count, cfg.paths))
+
+    acc = [[PathJet(zeros(), zeros(f.a.size), zeros(f.a.size, f.a.size))
+            for f in fs] for _ in lams]
+    # alpha by (node, start) per f; per cosine, (cos, sin) of beta by
+    # (node, path)
+    alphas = [(decays[:, None, f.coords] * starts[:, f.coords]) @ f.a for f in fs]
+    at_path = {j: np.empty((2, times.size, cfg.paths))
+               for j, f in enumerate(fs) if f.g is np.cos}
+
+    def observe(k, y, sl):
+        for j, f in enumerate(fs):
+            beta = f.a @ y[f.coords]
+            if j in at_path:
+                at_path[j][:, k, sl] = np.cos(beta), np.sin(beta)
+                continue
+            x = alphas[j][k][:, None] + beta
+            v, dv, d2v = f.g(x), f.dg(x), f.d2g(x)
+            d = f.a * decays[k, f.coords]
+            dd = np.multiply.outer(d, d)
+            for i, w in enumerate(node_w[:, k]):
+                jet = acc[i][j]
+                jet.value[:, sl] += w * v
+                jet.grad[..., sl] += (w * d)[:, None, None] * dv
+                jet.hess[..., sl] += (w * dd)[..., None, None] * d2v
+
+    _exact_paths(kappa, times, cfg, s_count * starts.shape[1], observe)
+    for j, cs in at_path.items():
+        f = fs[j]
+        c, s = np.cos(alphas[j]), np.sin(alphas[j])
+        # (p, q) with the m-th derivative of cos at alpha + beta equal to
+        # p cos(beta) + q sin(beta)
+        turns = [(c, -s), (-s, -c), (-c, s)]
+        d = f.a * decays[:, f.coords]
+        rhs = cs.reshape(2 * times.size, -1)
+
+        def contract(coef, m):
+            p, q = turns[m]
+            lhs = np.concatenate([coef[:, None] * p, coef[:, None] * q])
+            return np.einsum("ku,kb->ub", lhs, rhs, optimize=False)
+
+        for i, w in enumerate(node_w):
+            jet = acc[i][j]
+            jet.value[:] = contract(w, 0)
+            for r in range(f.a.size):
+                jet.grad[r] = contract(w * d[:, r], 1)
+                for e in range(f.a.size):
+                    jet.hess[r, e] = contract(w * (d[:, r] * d[:, e]), 2)
+    return acc
+
+
+def _euler_resolvent(weight, starts, fs, lams, cfg):
+    """resolvent_batch for a weight without linear_grad: (acc, tails)."""
     t_hor_max = max(max(8.0 / lam, cfg.t_max) for lam in lams)
     total = _step_count(t_hor_max, cfg.dt)
     dt_eff = t_hor_max / total
@@ -299,102 +425,83 @@ def resolvent_batch(weight: ConvexWeight, starts: np.ndarray,
         weight_of = _laplace_nodes(lam, k_hor, dt_eff, cfg.quad_nodes)
         plans.append((lam, weight_of, k_hor * dt_eff))
         all_steps |= set(weight_of.keys())
-    node = {k: i for i, k in enumerate(sorted(all_steps))}
-    exact = weight.linear_grad is not None
+    acc = [[PathJet(np.zeros((starts.shape[0], cfg.paths))) for _ in fs]
+           for _ in lams]
+    sup_seen = [0.0] * len(fs)
 
-    def zeros(*shape):
-        return np.zeros(shape + (starts.shape[0], cfg.paths))
-
-    acc = [[PathJet(zeros(), *((zeros(f.a.size), zeros(f.a.size, f.a.size))
-                               if exact else ())) for f in fs] for _ in lams]
-    # e^{-kappa t} by node; per cosine, (cos, sin) of alpha by (node, start)
-    # and of beta by (node, path)
-    decays = np.empty((len(node), starts.shape[1]))
-    angles = {j: (np.empty((2, len(node), starts.shape[0])),
-                  np.empty((2, len(node), cfg.paths)))
-              for j, f in enumerate(fs) if exact and f.g is np.cos}
-    sup_norms = [f.sup_norm for f in fs]
-    sup_seen = [1.0 if j in angles else 0.0 for j in range(len(fs))]  # |cos| <= 1
-
-    def grab(step, decay, y, sl):
-        if decay is not None:
-            decays[node[step]] = decay[:, 0]
+    def observe(step, x, sl):
         for j, f in enumerate(fs):
-            if decay is None:
-                v = f(y)
-            else:
-                alpha = (decay[f.coords, 0] * starts[:, f.coords]) @ f.a
-                beta = f.a @ y[f.coords]
-                if j in angles:
-                    angles[j][0][:, node[step]] = np.cos(alpha), np.sin(alpha)
-                    angles[j][1][:, node[step], sl] = np.cos(beta), np.sin(beta)
-                    continue
-                x = alpha[:, None] + beta
-                v, dv, d2v = f.g(x), f.dg(x), f.d2g(x)
-                d = f.a * decay[f.coords, 0]
-                dd = np.multiply.outer(d, d)
-            if sup_norms[j] is None:
+            v = f(x)
+            if f.sup_norm is None:
                 sup_seen[j] = max(sup_seen[j], float(np.max(np.abs(v))))
             for i, (_, weight_of, _) in enumerate(plans):
                 w = weight_of.get(step)
-                if w is None:
-                    continue
-                jet = acc[i][j]
-                jet.value[:, sl] += w * v
-                if decay is not None:
-                    jet.grad[..., sl] += (w * d)[:, None, None] * dv
-                    jet.hess[..., sl] += (w * dd)[..., None, None] * d2v
+                if w is not None:
+                    acc[i][j].value[:, sl] += w * v
 
     sub_cfg = DiffusionConfig(dt=dt_eff, paths=cfg.paths, seed=cfg.seed,
                               t_max=t_hor_max, quad_nodes=cfg.quad_nodes)
-    _run_paths(weight, starts, t_hor_max, sub_cfg, sorted(all_steps), grab)
-    for j, (at_start, at_path) in angles.items():
-        f = fs[j]
-        c, s = at_start
-        # (p, q) with the m-th derivative of cos at alpha + beta equal to
-        # p cos(beta) + q sin(beta)
-        turns = [(c, -s), (-s, -c), (-c, s)]
-        for i, (_, weight_of, _) in enumerate(plans):
-            ks = [node[k] for k in weight_of]
-            w = np.array(list(weight_of.values()))
-            d = f.a * decays[ks][:, f.coords]
-            rhs = at_path[:, ks].reshape(2 * len(ks), -1)
-
-            def contract(coef, m):
-                p, q = turns[m]
-                lhs = np.concatenate([coef[:, None] * p[ks],
-                                      coef[:, None] * q[ks]])
-                return np.einsum("ku,kb->ub", lhs, rhs, optimize=False)
-
-            jet = acc[i][j]
-            jet.value[:] = contract(w, 0)
-            for r in range(f.a.size):
-                jet.grad[r] = contract(w * d[:, r], 1)
-                for e in range(f.a.size):
-                    jet.hess[r, e] = contract(w * (d[:, r] * d[:, e]), 2)
-    tails = []
-    for (lam, _, t_hor) in plans:
-        row = []
-        for sup_f, seen in zip(sup_norms, sup_seen):
-            if sup_f is None:
-                sup_f = seen
-            row.append(sup_f * np.exp(-lam * t_hor) / lam)
-        tails.append(row)
+    _run_paths(weight, starts, t_hor_max, sub_cfg, sorted(all_steps), observe)
+    tails = [[(seen if f.sup_norm is None else f.sup_norm)
+              * np.exp(-lam * t_hor) / lam for f, seen in zip(fs, sup_seen)]
+             for lam, _, t_hor in plans]
     return acc, tails
 
 
-def mehler_oracle(f: CylinderFunction, t: float, xi: np.ndarray) -> float:
-    """Exact unweighted semigroup T_t f(xi) of a ridge function.
+def mehler_oracle(f: CylinderFunction, t, xi: np.ndarray, kappa=None,
+                  order: int = 0, hermite_nodes: int = 60):
+    """Exact semigroup T_t g^(order)(<a, .>) of a ridge function's profile
+    or its derivative, under the linear drift -kappa x.
 
-    Under the zero weight <a, X_t> is Gaussian with mean e^{-t} <a, xi>
-    and standard deviation sqrt(1 - e^{-2t}) |a|, so T_t f(xi) is one
-    60-node Gauss-Hermite sum over that law: exact for polynomials of
-    degree < 120, within 1e-15 of the closed forms for cos<a, x>.
+    kappa = 1 + linear_grad of the weight, on all n coordinates; None is
+    the zero weight, kappa = 1.  <a, X_t> started at xi is Gaussian with
+    mean <a, e^{-kappa t} xi_c> and variance sum_i a_i^2 (1 - e^{-2
+    kappa_i t}) / kappa_i, so the expectation is one Gauss-Hermite sum
+    over that law: exact for polynomials of degree < 2 hermite_nodes, and
+    at 60 nodes within 1e-15 of the closed forms for cos<a, x>.  t is a
+    time or times (T,), xi a point (n,) or points (P, n); the result has
+    shape t.shape + xi.shape[:-1], a float for one time and one point.
     """
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if t < 0:
+    t, xi = np.asarray(t, dtype=float), np.asarray(xi, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    z, w = np.polynomial.hermite_e.hermegauss(60)
-    mean = np.exp(-t) * f.project(xi)
-    sd = np.sqrt(-np.expm1(-2.0 * t) * float(f.a @ f.a))
-    return float(w @ f.g(mean + sd * z) / np.sqrt(2.0 * np.pi))
+    rate = (np.ones(f.a.size) if kappa is None
+            else np.asarray(kappa, dtype=float)[f.coords])
+    tt = np.atleast_1d(t)[:, None]
+    mean = (np.exp(-rate * tt)[:, None, :]
+            * np.atleast_2d(xi)[:, f.coords]) @ f.a            # (T, P)
+    sd = np.sqrt((-np.expm1(-2.0 * rate * tt) / rate) @ (f.a * f.a))
+    z, w = np.polynomial.hermite_e.hermegauss(hermite_nodes)
+    g = (f.g, f.dg, f.d2g)[order]
+    out = g(mean[..., None] + sd[:, None, None] * z) @ w / np.sqrt(2.0 * np.pi)
+    out = out.reshape(t.shape + xi.shape[:-1])
+    return float(out) if out.ndim == 0 else out
+
+
+def resolvent_oracle(weight: ConvexWeight, f: CylinderFunction, lam: float,
+                     x: np.ndarray, time_nodes: int = TIME_NODES,
+                     hermite_nodes: int = 20):
+    """Value, gradient and Hessian of R(lam) f at the points x (P, n), for
+    a weight with linear_grad and a ridge f = g(<a, x_c>).
+
+    R(lam) f = int_0^inf e^{-lam t} T_t f dt on the nodes of laplace_rule,
+    with T_t g, T_t g' and T_t g'' from mehler_oracle; with d =
+    a e^{-kappa_c t}, the gradient integrates d_i T_t g' and the Hessian
+    d_i d_j T_t g''.  These are the quadrature and the weights that
+    resolvent_batch's exact paths sample, so its path means estimate the
+    same numbers.  At the default nodes the relative error is at most
+    about 5e-6 for tanh and step profiles.  Returns (value (P,), gradient
+    (k, P), Hessian (k, k, P)) in f.coords, k = f.a.size.
+    """
+    if weight.linear_grad is None:
+        raise ValueError("the resolvent oracle needs a weight with linear_grad")
+    if not lam > 0:
+        raise ValueError("lam must be positive")
+    kappa = 1.0 + np.asarray(weight.linear_grad, dtype=float)
+    times, (w,) = laplace_rule([lam], time_nodes)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    u, du, d2u = (mehler_oracle(f, times, x, kappa, m, hermite_nodes)
+                  for m in range(3))
+    d = f.a * np.exp(-np.multiply.outer(times, kappa[f.coords]))
+    return (w @ u, np.einsum("t,tk,tp->kp", w, d, du),
+            np.einsum("t,tk,tl,tp->klp", w, d, d, d2u))

@@ -366,10 +366,10 @@ def test_mc_route_rows():
     assert all(r.route == "mc" and r.passed for r in rows)
 
     by = {(r.quantity, r.f_label): r for r in rows}
-    # resolvent of a constant is exact up to the horizon truncation
-    horizon = 1.0 - math.exp(-cfg.mc.t_max)
-    assert by[("L2_ratio", "const")].estimate == pytest.approx(
-        horizon, abs=3 * by[("L2_ratio", "const")].std_error + 1e-3)
+    # the exact paths' time rule integrates e^{-lam t} exactly and cuts
+    # off no tail: the resolvent of a constant is exact
+    assert by[("L2_ratio", "const")].estimate == pytest.approx(1.0, rel=1e-13)
+    assert by[("L2_ratio", "const")].std_error <= 1e-15
     assert by[("grad_ratio", "const")].estimate == pytest.approx(0.0, abs=1e-9)
     assert by[("hess_ratio", "const")].estimate == pytest.approx(0.0, abs=1e-6)
     assert by[("grad_ratio", "tanh")].allowance > 0.0

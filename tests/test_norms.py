@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ouelliptic.norms import sn_sqrt_ratio
+from ouelliptic.norms import sn_sqrt_ratio, sn_sqrt_ratio_pair
 
 
 def reference_one_term(num_sq, den_sq, logw, num_sq_var=None):
@@ -97,3 +97,16 @@ def test_one_term_matches_log_ratio_delta_method(debias):
         assert est == pytest.approx(want_est, rel=1e-12)
         assert se == pytest.approx(want_se, rel=1e-12)
 
+
+
+def test_ratio_pair_is_both_ratios_bit_for_bit():
+    """One pass gives num/den and den/num exactly as two calls do, the
+    degenerate sides included."""
+    rng = np.random.default_rng(4)
+    logw = 0.4 * rng.standard_normal(300)
+    graph, w22 = rng.random((2, 300)), rng.random((3, 300))
+    zero = np.zeros((2, 300))
+    for num, den in ((graph, w22), (zero, w22), (graph, zero)):
+        pair = sn_sqrt_ratio_pair(num, den, logw)
+        want = (sn_sqrt_ratio(num, den, logw), sn_sqrt_ratio(den, num, logw))
+        assert np.array_equal(pair, want, equal_nan=True)
