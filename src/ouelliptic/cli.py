@@ -17,6 +17,8 @@ from .weights import (abs_weight, diagonal_quadratic_weight, huber_weight,
                       zero_weight)
 
 _DEMO_WEIGHTS = ("quadratic", "abs", "huber", "zero", "energy")
+# weights with linear_grad, the only ones Monte Carlo paths take
+_PATH_WEIGHTS = ("quadratic", "zero", "energy")
 
 
 def _demo_weight(name: str, dim: int):
@@ -70,8 +72,7 @@ def _cmd_semigroup(args) -> int:
     x = np.array(args.point, dtype=float)
     w = _demo_weight(args.weight, x.size)
     f = harness.make_test_function(args.f, x.size)
-    cfg = mc.DiffusionConfig(dt=args.dt, paths=args.paths or 10_000,
-                             seed=args.seed or 0)
+    cfg = mc.DiffusionConfig(paths=args.paths or 10_000, seed=args.seed or 0)
     val = mc.semigroup_apply(w, f, args.t, x, cfg)
     _say(args, f"T_t f at t={args.t:g}, weight={args.weight}, f={args.f}")
     print(f"estimate   {val.mean:.8g} +- {val.std_error:.3g} "
@@ -83,13 +84,12 @@ def _cmd_resolvent(args) -> int:
     x = np.array(args.point, dtype=float)
     w = _demo_weight(args.weight, x.size)
     f = harness.make_test_function(args.f, x.size)
-    cfg = mc.DiffusionConfig(dt=args.dt, paths=args.paths or 10_000,
-                             seed=args.seed or 0)
+    cfg = mc.DiffusionConfig(paths=args.paths or 10_000, seed=args.seed or 0)
     val = mc.resolvent_apply(w, f, args.lam, x, cfg)
     _say(args, f"R(lambda) f at lambda={args.lam:g}, weight={args.weight}, "
                f"f={args.f}")
     print(f"estimate   {val.mean:.8g} +- {val.std_error:.3g} "
-          f"(tail bound folded into error)")
+          f"({val.paths_used} paths)")
     return 0
 
 
@@ -138,17 +138,15 @@ def main(argv=None) -> int:
                     "seed", "paths")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--point", type=float, nargs="+", default=[1.0])
-    p.add_argument("--weight", choices=_DEMO_WEIGHTS, default="zero")
+    p.add_argument("--weight", choices=_PATH_WEIGHTS, default="zero")
     p.add_argument("--f", choices=TEST_FUNCTION_NAMES, default="cos")
-    p.add_argument("--dt", type=float, default=1e-2)
 
     p = _subcommand(subs, "resolvent", _cmd_resolvent,
                     "Monte Carlo (lam - L)^-1 f", "seed", "paths")
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--point", type=float, nargs="+", default=[1.0])
-    p.add_argument("--weight", choices=_DEMO_WEIGHTS, default="zero")
+    p.add_argument("--weight", choices=_PATH_WEIGHTS, default="zero")
     p.add_argument("--f", choices=TEST_FUNCTION_NAMES, default="cos")
-    p.add_argument("--dt", type=float, default=1e-2)
 
     p = _subcommand(subs, "wiener-demo", _cmd_wiener_demo,
                     "KL path and weight demo", "seed", "out")

@@ -1,24 +1,21 @@
 """Experiment settings: which exist, their defaults, what is valid.
 
 Every default is written once: ExperimentConfig's field defaults (with
-DiffusionConfig's own for t_max and quad_nodes) and WEIGHT_PARAMS.
+DiffusionConfig's own for dt) and WEIGHT_PARAMS.
 Together they are the shipped configuration, which configs/energy.ini
 spells out.  A config file is INI with these sections and keys, all
 optional; an absent key keeps its default:
 
   [experiment]  weight, dims, lambdas, test_functions, seed, output_dir, route
-  [mc]          dt, paths, t_max, quad_nodes, cloud; dt, t_max and
-                quad_nodes set the Euler paths of a non-linear drift
-                (step, resolvent horizon, Laplace nodes).  Paths of a
-                linear drift, the only ones the Monte Carlo route takes,
-                jump exactly to the 16 fixed nodes of mc.laplace_rule;
-                there dt only scales the rows' allowance
+  [mc]          dt, paths, cloud; the paths jump exactly to the 16
+                fixed nodes of mc.laplace_rule, so dt sets no step: it
+                only scales the Monte Carlo rows' allowance
   [grid]        radius, mesh, norm_samples
   [weight_params]  coeff, modes, tail_samples, time_points, epsilon; the
                    ones the configured weight reads are range-checked
 
-Lists are whitespace- or comma-separated; paths, quad_nodes, cloud,
-seed, norm_samples, modes, tail_samples and time_points are integers.
+Lists are whitespace- or comma-separated; paths, cloud, seed,
+norm_samples, modes, tail_samples and time_points are integers.
 An unknown section or key, a value that does not parse and a value that
 fails a check all raise ConfigError, which the CLI maps to exit code 2.
 """
@@ -50,7 +47,7 @@ class ExperimentConfig:
     dims: tuple = (1, 2, 4)
     lambdas: tuple = (0.5, 1.0, 2.0)
     test_functions: tuple = TEST_FUNCTION_NAMES
-    mc: DiffusionConfig = DiffusionConfig(dt=0.02, paths=2000, seed=0)
+    mc: DiffusionConfig = DiffusionConfig(paths=2000, seed=0)
     output_dir: str = "results"
     seed: int = 0
     weight_params: dict = field(default_factory=dict)
@@ -130,7 +127,6 @@ _KEYS = {
                    "seed": ("seed", int), "output_dir": ("output_dir", str),
                    "route": ("route", str)},
     "mc": {"dt": ("mc.dt", float), "paths": ("mc.paths", int),
-           "t_max": ("mc.t_max", float), "quad_nodes": ("mc.quad_nodes", int),
            "cloud": ("mc_cloud", int)},
     "grid": {"radius": ("grid_radius", float), "mesh": ("grid_mesh", float),
              "norm_samples": ("norm_samples", int)},

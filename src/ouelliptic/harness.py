@@ -16,12 +16,12 @@ Gaussian.  Norms are additive where the checked inequalities are between
 norm sums: graph = ||u|| + ||Lu||, W22 = ||u|| + ||Du|| + ||D2u||_HS.
 
 A row passes when estimate <= bound + 3*std_error + allowance, where the
-allowance covers deterministic discretization bias (mesh^2 for grid
-solves; [mc] dt for Monte Carlo solves, although their paths take the
-exact transition of the linear drift, never an Euler step, and are
+allowance covers deterministic discretization bias and is reported in
+the CSV tables: mesh^2 for grid solves, and [mc] dt for Monte Carlo
+solves.  There dt is only the allowance's scale: the paths take the
+exact transition of the linear drift, never a time step, and are
 observed at the 16 nodes of a time rule that errs by about 5e-6
-relative) and is reported in the CSV tables.  Rows whose
-inequality is lambda-free carry lambda = 0.
+relative.  Rows whose inequality is lambda-free carry lambda = 0.
 
 Solutions come from the finite-difference grid for n <= 2 and from
 Monte Carlo resolvents for larger n (configurable).  Grid rows are sums
@@ -57,9 +57,9 @@ from .weights import ConvexWeight, diagonal_quadratic_weight, zero_weight
 DOMAIN_CONSTANT = 2.0 + math.sqrt(2.0)
 HESS_CONSTANT = math.sqrt(2.0)
 
-_EM_REL = 1.0           # Euler weak bias ~ dt * (1 + 1/lam) per unit bound;
-                        # exact paths never step at dt, but keep it until
-                        # the oracle's errors set the allowance
+_EM_REL = 1.0           # Monte Carlo allowance dt * (1 + 1/lam) per unit
+                        # bound; dt is only its scale, kept until the
+                        # oracle's errors set the allowance
 _WEAK_COEF = 25.0       # weak-identity allowance in units of mesh^2
 _LADDER_SAMPLES = 20_000
 _BLOCK_ROWS = 2_048     # ladder-rung cloud rows drawn and evaluated at once
@@ -387,9 +387,8 @@ def _mc_rows(cfg: ExperimentConfig, n: int) -> list:
     xc = rng.standard_normal((cfg.mc_cloud, n)) / np.sqrt(
         1.0 + np.asarray(w.linear_grad))
     mc_cfg = dataclasses.replace(cfg.mc, seed=int(mix64(cfg.seed, 7001, n)))
-    # exact paths: the time rule cuts off no tail
-    acc, _ = resolvent_batch(w, xc, [f for _, f in fs],
-                             list(cfg.lambdas), mc_cfg)
+    acc = resolvent_batch(w, xc, [f for _, f in fs], list(cfg.lambdas),
+                          mc_cfg)
 
     zeros = np.zeros(cfg.mc_cloud)
     rows = []

@@ -3,34 +3,34 @@
 The diffusion dX = -(grad phi(X) + X) dt + sqrt(2) dW has the weighted
 operator as its generator; expectations of f(X_t) started at xi give the
 semigroup, and an exponentially weighted time integral along the same
-trajectories gives the resolvent.  A weight that declares
-``linear_grad = g`` has the drift -kappa x with kappa = 1 + g, whose
-transition over any time is exactly Gaussian: X_t = e^{-kappa t} xi +
-N_t with N_t independent of the start (the Mehler formula).  Those
-paths are observed only at the times they are needed, each jump one
-exact transition: the terminal time of simulate_terminal, or the
-TIME_NODES lam-free nodes of the resolvent's time rule (laplace_rule),
-so they carry no time-step bias and no truncated horizon.  Every other
-weight takes Euler-Maruyama steps of at most dt up to a horizon, with
-t_max and quad_nodes setting the resolvent's horizon and Laplace nodes.
+trajectories gives the resolvent.  Only a weight that declares
+``linear_grad = g`` is simulated: its drift is -kappa x with kappa =
+1 + g, whose transition over any time is exactly Gaussian: X_t =
+e^{-kappa t} xi + N_t with N_t independent of the start (the Mehler
+formula; Bogachev, Gaussian Measures, 1998, sec. 1.4).  The paths are
+observed only at the times they are needed, each jump one exact
+transition: the terminal time of simulate_terminal, or the TIME_NODES
+lam-free nodes of the resolvent's time rule (laplace_rule), so they
+carry no time-step bias and no truncated horizon.  Any other weight
+raises ValueError.
 
-On the exact paths the resolvent observes each ridge test function
-g(<a, x>) through <a, e^{-kappa t} xi> (one value per start) plus
-<a, N_t> (one value per path) and never builds the (starts, paths, n)
-states.  Since X_t is affine in the start, the same pass gives the
-resolvent's gradient and Hessian in the start path by path, from g' and
-g'' (the pathwise derivative estimator); resolvent_oracle gives the
-same three exactly, on the same time nodes.  Noise is drawn from
-counter-based per-path Philox streams keyed by (seed, path index): one
-normal per coordinate per Euler step, or per observation time of an
-exact path.  So results are bit-identical for a fixed (seed, config)
-regardless of chunking, thread count or evaluation order, and runs from
-different starting points share the same noise (common random numbers).
+The resolvent observes each ridge test function g(<a, x>) through
+<a, e^{-kappa t} xi> (one value per start) plus <a, N_t> (one value per
+path) and never builds the (starts, paths, n) states.  Since X_t is
+affine in the start, the same pass gives the resolvent's gradient and
+Hessian in the start path by path, from g' and g'' (the pathwise
+derivative estimator); resolvent_oracle gives the same three exactly,
+on the same time nodes.  Noise is drawn from counter-based per-path
+Philox streams keyed by (seed, path index): one normal per coordinate
+per observation time.  So results are bit-identical for a fixed (seed,
+config) regardless of chunking, thread count or evaluation order, and
+runs from different starting points share the same noise (common
+random numbers).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,11 +38,10 @@ from .cylinder import CylinderFunction
 from .rng import path_stream
 from .weights import ConvexWeight
 
-# paths per chunk keep starts x paths x n under this many floats: the
-# Euler states, or the exact branch's per-start observer values
+# paths per chunk keep starts x paths x n, the observers' per-start
+# values, under this many floats
 _STATE_BUDGET = 5_000_000
-_NOISE_BLOCK = 256          # Euler steps drawn per RNG call
-# Gauss-Legendre nodes in v = e^{-t/2} of the exact resolvent's time rule;
+# Gauss-Legendre nodes in v = e^{-t/2} of the resolvent's time rule;
 # measured against a 96-node reference on the energy weight (n = 2, 4,
 # tanh and step), 16 nodes err by at most 4.6e-6 relative
 TIME_NODES = 16
@@ -50,26 +49,23 @@ TIME_NODES = 16
 
 @dataclass(frozen=True)
 class DiffusionConfig:
-    """Paths, seed, and the Euler branch's step, horizon and Laplace nodes.
+    """Paths and seed of the Monte Carlo runs, whose paths take no step.
 
-    dt, t_max and quad_nodes reach only weights without linear_grad:
-    exact paths jump straight to the times they are observed at.
+    dt only scales the Monte Carlo rows' allowance (harness._mc_allowance);
+    it stays a field and an [mc] key because the benchmark's mc-only
+    workload sets it.  t_max is a constant, not a field or a key: the
+    benchmark counts path steps from cfg.t_max and cfg.dt of resolvent_batch.
     """
-    dt: float
     paths: int
     seed: int
-    t_max: float = 8.0
-    quad_nodes: int = 64
+    dt: float = 0.02
+    t_max: ClassVar[float] = 8.0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.dt <= self.t_max < np.inf:
-            raise ValueError("t_max must be finite and at least dt")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if self.paths < 100:
             raise ValueError("need at least 100 paths")
-        if self.quad_nodes < 2:
-            raise ValueError("need at least 2 quadrature nodes")
 
 
 @dataclass(frozen=True)
@@ -79,31 +75,27 @@ class MCValue:
     paths_used: int
 
     @classmethod
-    def of_paths(cls, per_path: np.ndarray, extra_error: float = 0.0) -> "MCValue":
-        """Sample mean of per-path values; its standard error plus extra_error."""
+    def of_paths(cls, per_path: np.ndarray) -> "MCValue":
+        """Sample mean of per-path values and its standard error."""
         return cls(mean=float(per_path.mean()),
-                   std_error=float(per_path.std(ddof=1) / np.sqrt(per_path.size)
-                                   + extra_error),
+                   std_error=float(per_path.std(ddof=1) / np.sqrt(per_path.size)),
                    paths_used=per_path.size)
 
 
 class PathJet(NamedTuple):
     """Per-path resolvent accumulators of one (lam, f) pair at S starts:
     the value (S, paths) and its gradient (k, S, paths) and Hessian
-    (k, k, S, paths) in the start's coordinates f.coords, k = f.a.size.
-    Paths that take Euler steps give the value only."""
+    (k, k, S, paths) in the start's coordinates f.coords, k = f.a.size."""
     value: np.ndarray
-    grad: Optional[np.ndarray] = None
-    hess: Optional[np.ndarray] = None
-
-
-def _step_count(t: float, dt: float) -> int:
-    """Number of uniform steps of at most dt covering [0, t]."""
-    return max(1, int(np.ceil(t / dt - 1e-12))) if t > 0 else 0
+    grad: np.ndarray
+    hess: np.ndarray
 
 
 def _kappa(weight: ConvexWeight) -> np.ndarray:
-    """Rates kappa = 1 + linear_grad of a linear drift, as a column (n, 1)."""
+    """Rates kappa = 1 + linear_grad of a linear drift, as a column (n, 1);
+    a weight without linear_grad has no exact paths and raises."""
+    if weight.linear_grad is None:
+        raise ValueError("exact transitions need a weight with linear_grad")
     return 1.0 + np.asarray(weight.linear_grad, dtype=float)[:, None]
 
 
@@ -163,74 +155,27 @@ def _exact_paths(kappa: np.ndarray, times: np.ndarray, cfg: DiffusionConfig,
             observer(k, y, sl)
 
 
-def _run_paths(weight: ConvexWeight, starts: np.ndarray, t_end: float,
-               cfg: DiffusionConfig, snap_steps: Sequence[int],
-               observer: Callable) -> None:
-    """Euler-Maruyama paths over [0, t_end] on the grid of uniform steps
-    <= cfg.dt.
-
-    starts: (S, n) initial points advanced jointly under shared per-path
-    noise.  observer(step_index, x, path_slice) fires at step 0 and at
-    every index in snap_steps, with x the states (S, B, n).
-    """
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    s_count, n = starts.shape
-    steps = _step_count(t_end, cfg.dt)
-    dt = t_end / steps if steps else 0.0
-    snap = set(int(k) for k in snap_steps)
-    chunk = max(1, min(cfg.paths, _STATE_BUDGET // max(1, s_count * n)))
-    sq = np.sqrt(2.0 * dt)
-
-    for p0 in range(0, cfg.paths, chunk):
-        p1 = min(p0 + chunk, cfg.paths)
-        b, sl = p1 - p0, slice(p0, p1)
-        x = np.repeat(starts[:, None, :], b, axis=1)
-        observer(0, x, sl)
-        if steps == 0:
-            continue
-        gens = [path_stream(cfg.seed, p) for p in range(p0, p1)]
-        done = 0
-        while done < steps:
-            blk = min(_NOISE_BLOCK, steps - done)
-            noise = np.stack([g.standard_normal((blk, n)) for g in gens], axis=0)
-            for k in range(blk):
-                done += 1
-                x += dt * weight.drift(x) + sq * noise[:, k, :]
-                if done in snap:
-                    observer(done, x, sl)
-
-
 def simulate_terminal(weight: ConvexWeight, xi0: np.ndarray, t: float,
                       cfg: DiffusionConfig) -> np.ndarray:
     """Terminal points X_t of cfg.paths trajectories.
 
     xi0 is one start (n,), giving (paths, n), or a batch of starts (S, n)
-    advanced under shared per-path noise, giving (S, paths, n).  A weight
-    with linear_grad takes one exact transition to t; any other takes
-    Euler steps of at most cfg.dt.
+    advanced under shared per-path noise, giving (S, paths, n), by one
+    exact transition to t.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
+    kappa = _kappa(weight)
     xi0 = np.asarray(xi0, dtype=float)
     starts = np.atleast_2d(xi0)
     out = np.empty((starts.shape[0], cfg.paths, starts.shape[1]))
-    if weight.linear_grad is None:
-        steps = _step_count(t, cfg.dt)
+    mean = np.exp(-kappa * t) * starts.T
 
-        def grab(step, x, sl):
-            if step == steps:
-                out[:, sl] = x
+    def jump(k, y, sl):
+        np.add(mean[:, :, None], y[:, None, :],
+               out=out[:, sl].transpose(2, 0, 1))
 
-        _run_paths(weight, starts, t, cfg, [steps], grab)
-    else:
-        kappa = _kappa(weight)
-        mean = np.exp(-kappa * t) * starts.T
-
-        def jump(k, y, sl):
-            np.add(mean[:, :, None], y[:, None, :],
-                   out=out[:, sl].transpose(2, 0, 1))
-
-        _exact_paths(kappa, np.array([float(t)]), cfg, starts.size, jump)
+    _exact_paths(kappa, np.array([float(t)]), cfg, starts.size, jump)
     return out if xi0.ndim == 2 else out[0]
 
 
@@ -260,27 +205,22 @@ def resolvent_apply(weight: ConvexWeight, f: CylinderFunction, lam: float,
                     xi: np.ndarray, cfg: DiffusionConfig) -> MCValue:
     """Estimate of the resolvent R(lam) f(xi) = int_0^inf e^{-lam t} T_t f dt.
 
-    Euler paths cut the integral off at a horizon; the truncated tail is
-    bounded by sup|f| e^{-lam t_hor}/lam (using the declared sup_norm of
-    f when available, else the largest |f| seen along the trajectories)
-    and folded into the reported error.  Exact paths cut nothing off.
+    The time rule of laplace_rule cuts off no horizon, so the error is
+    the paths' standard error alone.
     """
-    acc, tails = resolvent_batch(weight, np.reshape(xi, (1, -1)), [f], [lam], cfg)
-    return MCValue.of_paths(acc[0][0].value[0], extra_error=tails[0][0])
+    acc = resolvent_batch(weight, np.reshape(xi, (1, -1)), [f], [lam], cfg)
+    return MCValue.of_paths(acc[0][0].value[0])
 
 
 def resolvent_derivatives(weight: ConvexWeight, f: CylinderFunction, lam: float,
                           xi: np.ndarray, cfg: DiffusionConfig):
     """Gradient vector and Hessian matrix of R(lam) f at xi, from the
     pathwise derivatives of resolvent_batch; zero off f.coords.  Returns
-    (gradient list of MCValue, hessian (n, n) array of MCValue).  Only a
-    weight with linear_grad has them: elsewhere X_t is not affine in xi.
+    (gradient list of MCValue, hessian (n, n) array of MCValue).
     """
-    if weight.linear_grad is None:
-        raise ValueError("resolvent derivatives need a weight with linear_grad")
     xi = np.asarray(xi, dtype=float).reshape(-1)
     n = xi.size
-    jet = resolvent_batch(weight, xi[None, :], [f], [lam], cfg)[0][0][0]
+    jet = resolvent_batch(weight, xi[None, :], [f], [lam], cfg)[0][0]
     grad = np.zeros((n, cfg.paths))
     grad[f.coords] = jet.grad[:, 0]
     hess = np.zeros((n, n, cfg.paths))
@@ -290,45 +230,19 @@ def resolvent_derivatives(weight: ConvexWeight, f: CylinderFunction, lam: float,
                      dtype=object))
 
 
-def _laplace_nodes(lam: float, k_hor: int, dt_eff: float, q: int) -> dict[int, float]:
-    """Quadrature for int_0^{k_hor dt_eff} e^{-lam t} g(t) dt on the step grid.
-
-    Returns {step index: weight}.  About q nodes are geometrically spaced
-    on [dt_eff, k_hor dt_eff], snapped to the step grid, with t = 0
-    prepended; the weights integrate exp(-lam t) times the piecewise-linear
-    interpolant of g exactly on each panel.
-    """
-    # kept as k_hor * dt_eff / dt_eff: its roundoff fixes where nodes snap
-    raw = dt_eff * (k_hor * dt_eff / dt_eff) ** (np.arange(q) / (q - 1))
-    ks = np.unique(np.clip(np.round(raw / dt_eff).astype(int), 1, k_hor))
-    ks = np.concatenate([[0], ks])
-    times = ks * dt_eff
-    w = np.zeros(times.size)
-    for i in range(times.size - 1):
-        t0, t1 = times[i], times[i + 1]
-        tau = t1 - t0
-        e0, e1 = np.exp(-lam * t0), np.exp(-lam * t1)
-        big_e = (e0 - e1) / lam
-        big_t = (t0 / lam + 1.0 / lam ** 2) * e0 - (t1 / lam + 1.0 / lam ** 2) * e1
-        w[i] += (t1 * big_e - big_t) / tau
-        w[i + 1] += (big_t - t0 * big_e) / tau
-    return {int(k): w[i] for i, k in enumerate(ks)}
-
-
 def resolvent_batch(weight: ConvexWeight, starts: np.ndarray,
                     fs: Sequence[CylinderFunction], lams: Sequence[float],
                     cfg: DiffusionConfig):
     """Per-path resolvent accumulators for many (lam, f) pairs at once.
 
-    One trajectory ensemble serves every pair.  Returns (acc, tails) with
-    acc[i_lam][i_f] the PathJet at the S starts and tails[i_lam][i_f] the
-    bound on the time integral cut off at the horizon.
+    One trajectory ensemble of a weight with linear_grad serves every
+    pair.  Returns acc with acc[i_lam][i_f] the PathJet at the S starts.
 
-    For a weight with linear_grad the paths are observed at the lam-free
-    nodes of laplace_rule, so every lam sees the same observations, and
-    the tails are 0.  Each ridge function f = g(<a, x_c>) is observed
-    through its projection alpha + beta, with alpha = <a, e^{-kappa t}
-    start_c> per start and beta = <a, N_t> per path.  With d =
+    The paths are observed at the lam-free nodes of laplace_rule, so
+    every lam sees the same observations.  Each ridge function f =
+    g(<a, x_c>) is observed through its projection alpha + beta, with
+    alpha = <a, e^{-kappa t} start_c> per start and beta = <a, N_t> per
+    path.  With d =
     a e^{-kappa_c t}, a node of weight w adds w g to the value, w d_i g'
     to gradient entry i and w d_i d_j g'' to Hessian entry (i, j): the
     pathwise derivatives of g(<a, X_t>) in the start (Glasserman, Monte
@@ -339,23 +253,10 @@ def resolvent_batch(weight: ConvexWeight, starts: np.ndarray,
     over the nodes after the run by einsum contractions, which, unlike a
     BLAS product, add the nodes in order for every entry, so the sums do
     not depend on how the paths are chunked.
-
-    Any other weight takes Euler steps of at most cfg.dt up to the
-    horizon max(8/lam, cfg.t_max) of the smallest lam; each lam gets about
-    cfg.quad_nodes Laplace nodes on that step grid (_laplace_nodes) and
-    gives the value only.
     """
     if not all(lam > 0 for lam in lams):
         raise ValueError("lam must be positive")
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    if weight.linear_grad is None:
-        return _euler_resolvent(weight, starts, fs, lams, cfg)
-    return _exact_resolvent(weight, starts, fs, lams, cfg), [
-        [0.0] * len(fs) for _ in lams]
-
-
-def _exact_resolvent(weight, starts, fs, lams, cfg) -> list:
-    """resolvent_batch's accumulators for a weight with linear_grad."""
     kappa = _kappa(weight)
     times, node_w = laplace_rule(lams)
     decays = np.exp(-kappa[:, 0] * times[:, None])          # (nodes, n)
@@ -413,41 +314,6 @@ def _exact_resolvent(weight, starts, fs, lams, cfg) -> list:
     return acc
 
 
-def _euler_resolvent(weight, starts, fs, lams, cfg):
-    """resolvent_batch for a weight without linear_grad: (acc, tails)."""
-    t_hor_max = max(max(8.0 / lam, cfg.t_max) for lam in lams)
-    total = _step_count(t_hor_max, cfg.dt)
-    dt_eff = t_hor_max / total
-    plans = []
-    all_steps = set()
-    for lam in lams:
-        k_hor = int(np.round(max(8.0 / lam, cfg.t_max) / dt_eff))
-        weight_of = _laplace_nodes(lam, k_hor, dt_eff, cfg.quad_nodes)
-        plans.append((lam, weight_of, k_hor * dt_eff))
-        all_steps |= set(weight_of.keys())
-    acc = [[PathJet(np.zeros((starts.shape[0], cfg.paths))) for _ in fs]
-           for _ in lams]
-    sup_seen = [0.0] * len(fs)
-
-    def observe(step, x, sl):
-        for j, f in enumerate(fs):
-            v = f(x)
-            if f.sup_norm is None:
-                sup_seen[j] = max(sup_seen[j], float(np.max(np.abs(v))))
-            for i, (_, weight_of, _) in enumerate(plans):
-                w = weight_of.get(step)
-                if w is not None:
-                    acc[i][j].value[:, sl] += w * v
-
-    sub_cfg = DiffusionConfig(dt=dt_eff, paths=cfg.paths, seed=cfg.seed,
-                              t_max=t_hor_max, quad_nodes=cfg.quad_nodes)
-    _run_paths(weight, starts, t_hor_max, sub_cfg, sorted(all_steps), observe)
-    tails = [[(seen if f.sup_norm is None else f.sup_norm)
-              * np.exp(-lam * t_hor) / lam for f, seen in zip(fs, sup_seen)]
-             for lam, _, t_hor in plans]
-    return acc, tails
-
-
 def mehler_oracle(f: CylinderFunction, t, xi: np.ndarray, kappa=None,
                   order: int = 0, hermite_nodes: int = 60):
     """Exact semigroup T_t g^(order)(<a, .>) of a ridge function's profile
@@ -493,11 +359,9 @@ def resolvent_oracle(weight: ConvexWeight, f: CylinderFunction, lam: float,
     about 5e-6 for tanh and step profiles.  Returns (value (P,), gradient
     (k, P), Hessian (k, k, P)) in f.coords, k = f.a.size.
     """
-    if weight.linear_grad is None:
-        raise ValueError("the resolvent oracle needs a weight with linear_grad")
     if not lam > 0:
         raise ValueError("lam must be positive")
-    kappa = 1.0 + np.asarray(weight.linear_grad, dtype=float)
+    kappa = _kappa(weight)[:, 0]
     times, (w,) = laplace_rule([lam], time_nodes)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u, du, d2u = (mehler_oracle(f, times, x, kappa, m, hermite_nodes)

@@ -174,10 +174,9 @@ def test_criterion_06_resolvent_bounds_and_hermite_scaling():
     # eigenfunction scaling 1/(lam + k), Monte Carlo route
     he = [cylinder.hermite(1), cylinder.hermite(2)]
     he_vals = (1.5, 1.5 ** 2 - 1.0)
-    acc, _ = mc.resolvent_batch(zero_weight(1), np.array([[1.5]]), he,
-                                list(lams),
-                                mc.DiffusionConfig(dt=2e-3, paths=40_000,
-                                                   seed=9))
+    acc = mc.resolvent_batch(zero_weight(1), np.array([[1.5]]), he,
+                             list(lams),
+                             mc.DiffusionConfig(dt=2e-3, paths=40_000, seed=9))
     worst_mc = 0.0
     for i, lam in enumerate(lams):
         for j, k in enumerate((1, 2)):
@@ -204,13 +203,12 @@ def test_criterion_06_resolvent_bounds_and_hermite_scaling():
     f = cos_linear(np.array([1.0, 1.0]) / math.sqrt(2))
     pts = np.array([[0.0, 0.0], [0.8, -0.5], [-1.2, 1.0],
                     [2.0, 0.3], [-0.4, -1.6]])
-    acc, tails = mc.resolvent_batch(w, pts, [f], list(lams),
-                                    mc.DiffusionConfig(dt=2e-3, paths=20_000,
-                                                       seed=6))
+    acc = mc.resolvent_batch(w, pts, [f], list(lams),
+                             mc.DiffusionConfig(dt=2e-3, paths=20_000, seed=6))
     for i, lam in enumerate(lams):
         per = acc[i][0].value
         for s in range(pts.shape[0]):
-            se = per[s].std(ddof=1) / math.sqrt(per.shape[1]) + tails[i][0]
+            se = per[s].std(ddof=1) / math.sqrt(per.shape[1])
             assert abs(per[s].mean()) <= 1.0 / lam + 3.0 * se
         gcfg = mc.DiffusionConfig(dt=4e-3, paths=10_000, seed=6)
         grad, _ = mc.resolvent_derivatives(w, f, lam, 0.3 * np.ones(2), gcfg)
@@ -231,9 +229,8 @@ def test_criterion_07_grid_mc_cross_validation():
                                                    mesh=1.0 / 64.0))
     u = grid.GridFunction(sol)
     pts = np.array([[-1.6], [-0.8], [0.0], [0.8], [1.6]])
-    acc, _ = mc.resolvent_batch(w, pts, [f], [1.0],
-                                mc.DiffusionConfig(dt=2e-3, paths=30_000,
-                                                   seed=4))
+    acc = mc.resolvent_batch(w, pts, [f], [1.0],
+                             mc.DiffusionConfig(dt=2e-3, paths=30_000, seed=4))
     per = acc[0][0].value
     worst = 0.0
     for i in range(pts.shape[0]):

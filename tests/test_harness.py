@@ -132,8 +132,15 @@ def test_config_bad_values(tmp_path):
     p.write_text("[mc]\ndt = -0.5\n")
     with pytest.raises(ConfigError):
         load_config(p)
+    p.write_text("[mc]\ndt = inf\n")
+    with pytest.raises(ConfigError, match="dt must be positive and finite"):
+        load_config(p)
+    # the paths take no time step, so no horizon or Laplace-node key exists
     p.write_text("[mc]\nt_max = inf\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown key 't_max'"):
+        load_config(p)
+    p.write_text("[mc]\nquad_nodes = 64\n")
+    with pytest.raises(ConfigError, match="unknown key 'quad_nodes'"):
         load_config(p)
 
 
@@ -970,8 +977,7 @@ def test_cli_prox_soft_threshold(capsys):
 
 def test_cli_semigroup_constant(capsys):
     code = cli.main(["semigroup", "--t", "0.5", "--point", "0.3",
-                     "--weight", "zero", "--f", "const", "--dt", "0.05",
-                     "--paths", "300"])
+                     "--weight", "zero", "--f", "const", "--paths", "300"])
     out = capsys.readouterr().out
     assert code == 0
     m = re.search(r"estimate\s+(\S+) \+- (\S+) \((\d+) paths\)", out)
@@ -981,12 +987,21 @@ def test_cli_semigroup_constant(capsys):
 
 def test_cli_resolvent_constant(capsys):
     code = cli.main(["resolvent", "--lam", "2.0", "--point", "0.0",
-                     "--weight", "zero", "--f", "const", "--dt", "0.05",
-                     "--paths", "300", "--quiet"])
+                     "--weight", "zero", "--f", "const", "--paths", "300",
+                     "--quiet"])
     out = capsys.readouterr().out
     assert code == 0
     est = float(re.search(r"estimate\s+(\S+)", out).group(1))
     assert est == pytest.approx(0.5, abs=1e-4)
+
+
+@pytest.mark.parametrize("command", ["semigroup", "resolvent"])
+def test_cli_path_demos_reject_nonlinear_drift(command, capsys):
+    # only weights with linear_grad have Monte Carlo paths
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--weight", "huber"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'huber'" in capsys.readouterr().err
 
 
 def test_cli_wiener_demo(tmp_path, capsys):

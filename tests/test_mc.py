@@ -29,13 +29,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         mc.DiffusionConfig(dt=0.0, paths=1000, seed=1)
     with pytest.raises(ValueError):
-        mc.DiffusionConfig(dt=9.0, paths=1000, seed=1, t_max=8.0)
-    with pytest.raises(ValueError):
-        mc.DiffusionConfig(dt=1e-2, paths=1000, seed=1, t_max=np.inf)
+        mc.DiffusionConfig(dt=np.inf, paths=1000, seed=1)
     with pytest.raises(ValueError):
         mc.DiffusionConfig(dt=1e-2, paths=50, seed=1)
-    with pytest.raises(ValueError):
-        mc.DiffusionConfig(dt=1e-2, paths=1000, seed=1, quad_nodes=1)
 
 
 def test_terminal_at_time_zero():
@@ -62,7 +58,7 @@ def test_stationary_law_unweighted():
 def test_stationary_law_quadratic_weight():
     # drift -2x gives stationary variance 2/(2*2) = 1/2
     cfg = mc.DiffusionConfig(dt=5e-3, paths=4000, seed=9)
-    w = quadratic_weight(np.eye(1))
+    w = diagonal_quadratic_weight(np.full(1, 0.5))
     out = mc.simulate_terminal(w, np.array([1.0]), 5.0, cfg)
     se_var = 0.5 * np.sqrt(2.0 / cfg.paths)
     assert abs(out.var(ddof=1) - 0.5) <= 4 * se_var + 0.02
@@ -166,7 +162,7 @@ def test_semigroup_gradient_tanh_bound():
 
 def test_gradient_bound_dimension_free():
     cos = cos_linear(np.array([1.0, 0.0, 0.0, 0.0]))
-    w = quadratic_weight(np.eye(4))
+    w = diagonal_quadratic_weight(np.full(4, 0.5))
     cfg = mc.DiffusionConfig(dt=2e-3, paths=3000, seed=7)
     t = 0.25
     g = mc.semigroup_gradient(w, cos, t, 0.3 * np.ones(4), cfg)
@@ -254,7 +250,7 @@ def _richardson_jet(w, f, lam, xi, h, cfg):
                    for s in (1, 2) for si in (1, -1) for sj in (1, -1)}
     shifts = sorted(shifts)
     starts = xi + h * (np.array(shifts) @ np.eye(xi.size)[f.coords])
-    vals = mc.resolvent_batch(w, starts, [f], [lam], cfg)[0][0][0].value
+    vals = mc.resolvent_batch(w, starts, [f], [lam], cfg)[0][0].value
     u = dict(zip(shifts, vals))
 
     def at(*moves):                      # u at h * sum of (coord, steps)
@@ -287,7 +283,7 @@ def test_pathwise_jet_matches_richardson(f):
     w = diagonal_quadratic_weight(np.array([0.5, 0.25]))
     xi = np.array([0.3, -0.4])
     cfg = mc.DiffusionConfig(dt=0.05, paths=200, seed=3)
-    jet = mc.resolvent_batch(w, xi[None, :], [f], [1.0], cfg)[0][0][0]
+    jet = mc.resolvent_batch(w, xi[None, :], [f], [1.0], cfg)[0][0]
     grad, hess = _richardson_jet(w, f, 1.0, xi, 0.05, cfg)
     assert jet.grad.shape == (f.a.size, 1, cfg.paths)
     assert jet.hess.shape == (f.a.size, f.a.size, 1, cfg.paths)
@@ -309,7 +305,7 @@ def test_resolvent_jets_hermite_closed_form():
 
     fs = [hermite(k) for k in (1, 2, 3)]
     cfg = mc.DiffusionConfig(dt=0.02, paths=4000, seed=8)
-    acc, _ = mc.resolvent_batch(zero_weight(1), np.array([[x]]), fs, lams, cfg)
+    acc = mc.resolvent_batch(zero_weight(1), np.array([[x]]), fs, lams, cfg)
     for i, lam in enumerate(lams):
         for k, jet in zip((1, 2, 3), acc[i]):
             wants = [he(k), k * he(k - 1), k * (k - 1) * he(k - 2)]
@@ -383,8 +379,7 @@ def test_exact_path_jets_match_oracle():
           smoothed_indicator(0.0, 0.5)]
     lams = [0.5, 1.0, 2.0]
     cfg = mc.DiffusionConfig(dt=0.02, paths=2000, seed=7)
-    acc, tails = mc.resolvent_batch(w, x, fs, lams, cfg)
-    assert tails == [[0.0] * len(fs)] * len(lams)
+    acc = mc.resolvent_batch(w, x, fs, lams, cfg)
     for i, lam in enumerate(lams):
         for j, f in enumerate(fs):
             for per_path, want in zip(acc[i][j], mc.resolvent_oracle(w, f, lam, x)):
@@ -407,6 +402,17 @@ def test_resolvent_derivatives_need_linear_grad():
                                  np.array([0.0]), CFG_FAST)
 
 
+def test_paths_need_linear_grad():
+    """Only a linear drift has exact paths; any other weight raises."""
+    w, f, x = huber_weight(1), tanh_coord(), np.array([0.0])
+    with pytest.raises(ValueError, match="linear_grad"):
+        mc.resolvent_batch(w, x[None, :], [f], [1.0], CFG_FAST)
+    with pytest.raises(ValueError, match="linear_grad"):
+        mc.simulate_terminal(w, x, 1.0, CFG_FAST)
+    with pytest.raises(ValueError, match="linear_grad"):
+        mc.semigroup_apply(w, f, 1.0, x, CFG_FAST)
+
+
 def test_resolvent_gradient_bound_tanh():
     f = tanh_coord()
     cfg = mc.DiffusionConfig(dt=4e-3, paths=4000, seed=7)
@@ -415,8 +421,8 @@ def test_resolvent_gradient_bound_tanh():
 
 
 def _same_jets(a, b):
-    """Two PathJets agree bit for bit (derivatives None in both, or equal)."""
-    return all(x is y is None or np.array_equal(x, y) for x, y in zip(a, b))
+    """Two PathJets agree bit for bit."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_resolvent_batch_shares_ensemble_across_lambdas():
@@ -426,28 +432,25 @@ def test_resolvent_batch_shares_ensemble_across_lambdas():
     starts = np.array([[0.0, 0.0], [0.8, -0.5]])
     cfg = mc.DiffusionConfig(dt=4e-3, paths=500, seed=5)
     lams = [0.5, 1.0, 2.0]
-    acc, tails = mc.resolvent_batch(w, starts, [f], lams, cfg)
+    acc = mc.resolvent_batch(w, starts, [f], lams, cfg)
     for i, lam in enumerate(lams):
-        one_acc, one_tails = mc.resolvent_batch(w, starts, [f], [lam], cfg)
+        one_acc = mc.resolvent_batch(w, starts, [f], [lam], cfg)
         assert _same_jets(acc[i][0], one_acc[0][0])
-        assert np.array_equal(tails[i][0], one_tails[0][0])
 
 
-@pytest.mark.parametrize("w", [diagonal_quadratic_weight(np.array([0.5, 0.25])),
-                               huber_weight(2)], ids=["linear-drift", "huber"])
+@pytest.mark.parametrize("w", [diagonal_quadratic_weight(np.array([0.5, 0.25]))],
+                         ids=["linear-drift"])
 def test_resolvent_batch_chunk_invariant(w, monkeypatch):
     # per-path noise streams: splitting the paths into chunks changes no bit
     starts = np.array([[0.0, 0.0], [0.8, -0.5], [-1.2, 0.3]])
     fs = [cos_linear(np.array([1.0, 1.0]) / np.sqrt(2)), tanh_coord()]
     cfg = mc.DiffusionConfig(dt=0.05, paths=300, seed=11)
-    acc, tails = mc.resolvent_batch(w, starts, fs, [0.5, 2.0], cfg)
+    acc = mc.resolvent_batch(w, starts, fs, [0.5, 2.0], cfg)
     monkeypatch.setattr(mc, "_STATE_BUDGET", starts.size * 100)   # 3 chunks
-    chunked_acc, chunked_tails = mc.resolvent_batch(w, starts, fs, [0.5, 2.0], cfg)
+    chunked_acc = mc.resolvent_batch(w, starts, fs, [0.5, 2.0], cfg)
     for row, chunked_row in zip(acc, chunked_acc):
         for a, b in zip(row, chunked_row):
             assert _same_jets(a, b)
-            assert (a.grad is None) == (w.linear_grad is None)
-    assert tails == chunked_tails
 
 
 def _state_batch(w, starts, fs, lams, cfg):
@@ -455,8 +458,7 @@ def _state_batch(w, starts, fs, lams, cfg):
     x = e^{-kappa t} start + N_t built at each time of mc.laplace_rule,
     with N jumping from one time to the next by the exact OU transition
     and drawn as one (times, n) array per path, f evaluated on them and
-    summed with each lam's node weights.  The rule cuts off no horizon,
-    so the tails are 0."""
+    summed with each lam's node weights."""
     times, node_w = mc.laplace_rule(lams)
     assert times.size == mc.TIME_NODES and np.all(np.diff(times) > 0)
     kappa = 1.0 + np.asarray(w.linear_grad)[:, None]
@@ -479,7 +481,7 @@ def _state_batch(w, starts, fs, lams, cfg):
             v = f(x)
             for i in range(len(lams)):
                 acc[i][j] += node_w[i, k] * v
-    return acc, [[0.0] * len(fs) for _ in lams]
+    return acc
 
 
 def test_projected_observer_matches_states():
@@ -494,9 +496,8 @@ def test_projected_observer_matches_states():
                cos_linear(np.array([0.6, -0.8, 0.5]))]
     lams = [0.5, 2.0]
     cfg = mc.DiffusionConfig(dt=0.1, paths=150, seed=4)
-    acc, tails = mc.resolvent_batch(w, starts, exact_fs + trig_fs, lams, cfg)
-    want, want_tails = _state_batch(w, starts, exact_fs + trig_fs, lams, cfg)
-    assert tails == want_tails
+    acc = mc.resolvent_batch(w, starts, exact_fs + trig_fs, lams, cfg)
+    want = _state_batch(w, starts, exact_fs + trig_fs, lams, cfg)
     for i in range(len(lams)):
         for j in range(len(exact_fs)):
             assert np.array_equal(acc[i][j].value, want[i][j])
@@ -519,20 +520,3 @@ def test_cross_validation_grid_vs_mc():
         want = float(u.value(np.array([[xi]]))[0])
         assert abs(got.mean - want) <= 0.02 * abs(want) + 3 * got.std_error
 
-
-def test_euler_branch_huber_grid_vs_mc():
-    # huber has a non-linear drift, so its paths take Euler steps; measured
-    # |mc - grid| at these points is at most 0.45% of u (about 1.1 SE)
-    from ouelliptic import grid
-
-    w = huber_weight(1)
-    f = cos_linear(np.array([1.0]))
-    lam = 1.0
-    spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 32)
-    [sol] = grid.solve_elliptic_grid(w, [f.value], lam, spec)
-    u = grid.GridFunction(sol)
-    cfg = mc.DiffusionConfig(dt=5e-3, paths=4000, seed=5)
-    for xi in (0.0, 0.8, -1.2):
-        got = mc.resolvent_apply(w, f, lam, np.array([xi]), cfg)
-        want = float(u.value(np.array([[xi]]))[0])
-        assert abs(got.mean - want) <= 0.01 * abs(want) + 3 * got.std_error
