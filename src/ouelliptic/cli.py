@@ -44,7 +44,7 @@ _FLAGS = {"config": dict(metavar="PATH", help="experiment config file"),
 def _subcommand(subs, name, run, text, *flags):
     """A subcommand that calls run(args), with --quiet and the named _FLAGS."""
     sub = subs.add_parser(name, help=text)
-    sub.set_defaults(run=run)
+    sub.set_defaults(run=run, usage_error=sub.error)
     for flag in flags:
         sub.add_argument(f"--{flag}", **_FLAGS[flag])
     sub.add_argument("--quiet", action="store_true", help="suppress summary text")
@@ -158,7 +158,10 @@ def main(argv=None) -> int:
                 "run the domain-equivalence checks", *_FLAGS)
 
     args = parser.parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except ValueError as e:     # a flag value the library refuses
+        args.usage_error(str(e))
 
 
 if __name__ == "__main__":

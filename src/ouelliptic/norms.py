@@ -38,20 +38,6 @@ def _norm_sum(terms: np.ndarray, w: np.ndarray, bias: float = 0.0):
     return total, infl
 
 
-def _ratio(a: float, infl_a: np.ndarray, b: float, infl_b: np.ndarray,
-           inner_se: float = 0.0) -> tuple[float, float]:
-    """a / b of two norm sums and its delta-method standard error."""
-    if b == 0.0:
-        return math.nan, math.inf
-    if a == 0.0:
-        return 0.0, math.inf
-    infl = infl_a / b - a * infl_b / b ** 2
-    # the inner noise enters through d(sqrt(m) / b) / dm = 1 / (2 a b)
-    se = math.hypot(float(np.std(infl, ddof=1)) / math.sqrt(infl.size),
-                    inner_se / (2.0 * a * b))
-    return a / b, se
-
-
 def sn_sqrt_ratio(num_sq: np.ndarray, den_sq: np.ndarray, logw: np.ndarray,
                   num_sq_var: np.ndarray | None = None) -> tuple[float, float]:
     """sum_i sqrt(E_nu[num_sq_i]) / sum_j sqrt(E_nu[den_sq_j]), a ratio of
@@ -76,17 +62,15 @@ def sn_sqrt_ratio(num_sq: np.ndarray, den_sq: np.ndarray, logw: np.ndarray,
         inner_se = bias / math.sqrt(np.size(num_sq_var))
     a, infl_a = _norm_sum(num_sq, w, bias)
     b, infl_b = _norm_sum(np.atleast_2d(np.asarray(den_sq, dtype=float)), w)
-    return _ratio(a, infl_a, b, infl_b, inner_se)
-
-
-def sn_sqrt_ratio_pair(num_sq: np.ndarray, den_sq: np.ndarray,
-                       logw: np.ndarray) -> tuple[tuple, tuple]:
-    """(sn_sqrt_ratio(num_sq, den_sq, logw), sn_sqrt_ratio(den_sq, num_sq,
-    logw)), bit for bit, from one pass over each side's terms."""
-    w = np.exp(logw - np.max(logw))
-    a, infl_a = _norm_sum(np.atleast_2d(np.asarray(num_sq, dtype=float)), w)
-    b, infl_b = _norm_sum(np.atleast_2d(np.asarray(den_sq, dtype=float)), w)
-    return _ratio(a, infl_a, b, infl_b), _ratio(b, infl_b, a, infl_a)
+    if b == 0.0:
+        return math.nan, math.inf
+    if a == 0.0:
+        return 0.0, math.inf
+    infl = infl_a / b - a * infl_b / b ** 2
+    # the inner noise enters through d(sqrt(m) / b) / dm = 1 / (2 a b)
+    se = math.hypot(float(np.std(infl, ddof=1)) / math.sqrt(infl.size),
+                    inner_se / (2.0 * a * b))
+    return a / b, se
 
 
 def sn_norm(values_sq: np.ndarray, logw: np.ndarray) -> tuple[float, float]:

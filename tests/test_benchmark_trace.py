@@ -40,7 +40,6 @@ paths = 200
 
 [grid]
 mesh = 0.25
-norm_samples = 1000
 """,
     # tabulated, mollified weight on the grid route
     "max-endpoint": """[experiment]
@@ -50,10 +49,22 @@ route = grid
 
 [grid]
 mesh = 0.25
-norm_samples = 1000
 
 [weight_params]
 modes = 8
+""",
+    # Monte Carlo rows only, and domain rows on the nodes of 2 coordinates
+    "mc-only": """[experiment]
+weight = energy
+dims = 3
+route = mc
+
+[mc]
+dt = 0.1
+paths = 200
+
+[grid]
+mesh = 0.25
 """,
 }
 

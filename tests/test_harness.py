@@ -2,6 +2,8 @@
 
 import ast
 import csv
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -36,7 +38,6 @@ paths = 400
 [grid]
 radius = 5
 mesh = 0.125
-norm_samples = 2000
 
 [weight_params]
 modes = 16
@@ -55,7 +56,7 @@ def small_cfg(**overrides):
     base = dict(
         weight="zero", dims=(1,), lambdas=(1.0,), test_functions=("const",),
         mc=DiffusionConfig(dt=0.05, paths=400, seed=0), output_dir="results",
-        seed=0, norm_samples=2000, mc_cloud=8)
+        seed=0, mc_cloud=8)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -349,15 +350,24 @@ def test_node_weights_match_gaussian_moments(mesh, coeffs):
     np.testing.assert_allclose(second, want, rtol=mesh ** 2 / 6.0, atol=0.0)
 
 
-def test_grid_rows_do_not_read_norm_samples():
-    """Grid rows are node sums: the cloud size of the domain rows leaves
-    them byte for byte as they are."""
-    reports = [harness.verify_main_estimates(small_cfg(
-        weight="energy", dims=(1, 2), test_functions=("const", "tanh", "cos"),
-        grid_radius=4.0, grid_mesh=0.25, norm_samples=k))
-        for k in (2000, 3000)]
-    assert reports[0].rows and all(r.route == "grid" for r in reports[0].rows)
-    assert reports[0].to_csv() == reports[1].to_csv()
+def test_artifacts_do_not_read_norm_samples(tmp_path):
+    """[grid] norm_samples is parsed and validated but read by nothing: a
+    run with grid, Monte Carlo, domain and ladder stages writes the same
+    bytes at two values of it."""
+    text = TINY_INI.replace("weight = zero", "weight = energy").replace(
+        "dims = 1", "dims = 1 3").replace("test_functions = const tanh",
+                                          "test_functions = const tanh cos")
+    outs = []
+    for k in (2000, 3000):
+        cfg = tmp_path / f"samples{k}.ini"
+        cfg.write_text(text.replace("[grid]", f"[grid]\nnorm_samples = {k}"))
+        assert load_config(cfg).norm_samples == k
+        out = tmp_path / f"run{k}"
+        assert cli.main(["verify-estimates", "--config", str(cfg), "--out",
+                         str(out), "--quiet"]) == 0
+        outs.append({f.relative_to(out): f.read_bytes()
+                     for f in sorted(out.rglob("*")) if f.is_file()})
+    assert outs[0] == outs[1] and len(outs[0]) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -513,21 +523,15 @@ def small_max_endpoint_cfg(**overrides):
 def test_cloud_stages_do_not_depend_on_block_size(monkeypatch):
     """The rung's cloud is drawn and evaluated in row blocks; 1,000-row
     blocks, with a partial last block, give the same bits as one block
-    holding the whole cloud.  The domain rows are whole-cloud vectors and
-    must not read the block size at all."""
-    rung_cfg = small_max_endpoint_cfg()
-    domain_cfg = small_cfg(weight="energy", dims=(4,), norm_samples=4_500,
-                           test_functions=("const", "tanh", "cos", "step"))
+    holding the whole cloud."""
+    cfg = small_max_endpoint_cfg()
     harness._max_endpoint_table.cache_clear()
     results = []
-    for rows in (1_000, max(harness._LADDER_SAMPLES, domain_cfg.norm_samples)):
+    for rows in (1_000, harness._LADDER_SAMPLES):
         monkeypatch.setattr(harness, "_BLOCK_ROWS", rows)
-        results.append(([harness._ladder_rung(rung_cfg, n) for n in (1, 2)],
-                        harness._domain_rows(domain_cfg, 4)))
+        results.append([harness._ladder_rung(cfg, n) for n in (1, 2)])
     harness._max_endpoint_table.cache_clear()
-    (rungs, domain), (rungs_whole, domain_whole) = results
-    assert rungs == rungs_whole and domain == domain_whole
-    assert len(domain) == 12 and all(r.passed for r in domain)
+    assert results[0] == results[1]
 
 
 def _traced_peak_mb(stage) -> float:
@@ -539,61 +543,115 @@ def _traced_peak_mb(stage) -> float:
         tracemalloc.stop()
 
 
+def _domain_nodes(cfg, n):
+    """The weight at min(n, 2) and the nodes and weights it sums over."""
+    m = min(n, 2)
+    w = harness.make_weight(cfg, m)
+    spec = grid.GridSpec(dim=m, radius=cfg.grid_radius, mesh=cfg.grid_mesh)
+    _, x, wts = harness._weighted_nodes(w, spec)
+    return w, x, wts
+
+
 @pytest.mark.parametrize("weight,n", [("energy", n) for n in (1, 2, 3, 4)]
                          + [("max-endpoint", n) for n in (1, 2)])
 def test_domain_rows_match_generic_generator(weight, n):
     """The closed ridge form of the domain rows against the rows rebuilt
-    from u.gradient, u.hessian and grid.apply_generator on the same cloud:
-    bit-identical wherever a = (1.0,) (every product by a is exact), and
-    within 1e-12 relative for cos at n >= 2, whose a = (1, 1)/sqrt(2)
-    rounds |a|^2."""
+    from u.gradient, u.hessian and grid.apply_generator on the same node
+    set: bit-identical wherever a = (1.0,) (every product by a is
+    exact), and within 1e-12 relative for cos at n >= 2, whose
+    a = (1, 1)/sqrt(2) rounds |a|^2."""
     names = ("const", "tanh", "cos", "step")
     if weight == "energy":
-        cfg = small_cfg(weight="energy", dims=(n,), norm_samples=3_000,
-                        test_functions=names)
+        cfg = small_cfg(weight="energy", dims=(n,), test_functions=names)
     else:
-        cfg = small_max_endpoint_cfg(norm_samples=3_000, test_functions=names)
+        cfg = small_max_endpoint_cfg(test_functions=names)
     harness._max_endpoint_table.cache_clear()
     closed = harness._domain_rows(cfg, n)
-    w = harness.make_weight(cfg, n)
-    x = harness.substream(cfg.seed, harness.NORM_TAG, 3, n).standard_normal(
-        (cfg.norm_samples, n))
-    np.clip(x, -cfg.grid_radius + cfg.grid_mesh,
-            cfg.grid_radius - cfg.grid_mesh, out=x)
-    logw = -np.asarray(w.eval(x), dtype=float)
+    w, x, wts = _domain_nodes(cfg, n)
     generic = []
     for name in cfg.test_functions:
         u = harness.make_test_function(name, n)
         uv, ug = u(x), u.gradient(x)
         lu = grid.apply_generator(w, u, x)
-        graph = np.stack([uv * uv, lu * lu])
-        w22 = np.stack([uv * uv, np.sum(ug * ug, -1),
-                        np.sum(np.square(u.hessian(x)), (-2, -1))])
-        generic += [harness.sn_sqrt_ratio(graph, w22, logw),
-                    harness.sn_sqrt_ratio(w22, graph, logw),
-                    harness.sn_mean(uv * lu, logw)]
+        unorm, lnorm = math.sqrt((uv * uv) @ wts), math.sqrt((lu * lu) @ wts)
+        gnorm = math.sqrt(np.sum(ug * ug, -1) @ wts)
+        hnorm = math.sqrt(np.sum(np.square(u.hessian(x)), (-2, -1)) @ wts)
+        graph, w22 = unorm + lnorm, unorm + gnorm + hnorm
+        generic += [graph / w22, w22 / graph, float((uv * lu) @ wts)]
     harness._max_endpoint_table.cache_clear()
     assert len(closed) == len(generic) == 12
-    for row, (est, se) in zip(closed, generic):
+    assert all(r.std_error == 0.0 and r.passed for r in closed)
+    for row, est in zip(closed, generic):
         if row.f_label.startswith("cos") and n >= 2:
             assert row.estimate == pytest.approx(est, rel=1e-12, abs=1e-300)
-            assert row.std_error == pytest.approx(se, rel=1e-12, abs=1e-300)
         else:
-            assert (row.estimate, row.std_error) == (est, se), row.f_label
+            assert row.estimate == est, row.f_label
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("weight", ["zero", "quadratic", "energy"])
+def test_domain_node_sums_match_gauss_hermite(weight, n):
+    """The node sums at mesh 1/32 against tensor Gauss-Hermite in the
+    ridge's Gaussian law: for a separable weight nu is N(0, 1/(1 + k_i))
+    in each coordinate, k = linear_grad, and the drift is -(1 + k_i) x_i.
+    Each norm and <u, Lu> agree within 1e-4 relative (2.4e-5 measured)."""
+    cfg = small_cfg(weight=weight, dims=(n,))
+    w, x, wts = _domain_nodes(cfg, n)
+    rate = 1.0 + np.asarray(w.linear_grad)
+    z, zw = np.polynomial.hermite_e.hermegauss(80)
+    gx = grid.tensor_nodes(z, n) / np.sqrt(rate)
+    gw = functools.reduce(np.multiply.outer, [zw / zw.sum()] * n).ravel()
+    for name in ("tanh", "cos", "step"):
+        u = harness.make_test_function(name, n)
+        ug, uh = u.gradient(gx), u.hessian(gx)
+        lu = np.trace(uh, axis1=-2, axis2=-1) - np.sum(rate * gx * ug, -1)
+        uv = u(gx)
+        want = [np.sqrt(gw @ v) for v in (uv * uv, np.sum(ug * ug, -1),
+                                          np.sum(uh * uh, (-2, -1)), lu * lu)]
+        norms, inner = harness._ridge_integrals(u, x, w.drift(x), wts)
+        np.testing.assert_allclose(norms, want, rtol=1e-4, atol=0.0)
+        assert inner == pytest.approx(gw @ (uv * lu), rel=1e-4, abs=0.0)
+
+
+def test_domain_rows_do_not_depend_on_n_beyond_two():
+    """A separable weight's domain rows read only the two coordinates of
+    the test functions: n = 2, 3 and 4 give the same rows but for n."""
+    names = ("const", "tanh", "cos", "step")
+    by_n = [[dataclasses.replace(r, n=0) for r in harness._domain_rows(
+        small_cfg(weight="energy", dims=(n,), test_functions=names), n)]
+        for n in (2, 3, 4)]
+    assert len(by_n[0]) == 12 and by_n[0] == by_n[1] == by_n[2]
+
+
+def test_domain_rows_fail_on_a_flipped_drift(monkeypatch):
+    """Teeth: with the drift's sign flipped, the domain rows of the energy
+    weight at n = 3 and 4 (the Monte Carlo workload's dims, mesh 1/32)
+    fail on dissipativity for tanh and step and on graph/W22 for cos."""
+    monkeypatch.setattr(ConvexWeight, "drift",
+                        lambda self, x: np.asarray(self.subgrad(x)) + x)
+    cfg = small_cfg(weight="energy", dims=(3, 4), grid_radius=6.0,
+                    grid_mesh=1 / 32, test_functions=("const", "tanh", "cos",
+                                                      "step"))
+    rows = harness.verify_domain_equivalence(cfg).rows
+    assert len(rows) == 24
+    assert sorted((r.n, r.f_label) for r in rows if not r.passed) == [
+        (n, label) for n in (3, 4)
+        for label in ("cos|graph/W22", "step", "tanh")]
 
 
 def test_cloud_stages_peak_memory():
     """Neither cloud stage holds a whole-cloud array wider than n: the
     max-endpoint rung keeps n of the 256 mode columns, and the domain rows
-    never build the (points, n, n) Hessian of the whole cloud.  With
-    whole-cloud arrays the two read 127 and 58 MB."""
+    build no (points, n, n) Hessian on their 148,225 nodes at mesh
+    1/32.  With whole-cloud arrays the two read 127 and 58 MB."""
     cfg = small_max_endpoint_cfg()
     harness._max_endpoint_table.cache_clear()
     harness._mollified_weight(cfg, 1)       # the table is not the rung's
     rung_mb = _traced_peak_mb(lambda: harness._ladder_rung(cfg, 1))
     harness._max_endpoint_table.cache_clear()
     domain_mb = _traced_peak_mb(lambda: harness._domain_rows(
-        small_cfg(weight="energy", dims=(4,), norm_samples=200_000,
+        small_cfg(weight="energy", dims=(4,), grid_radius=6.0,
+                  grid_mesh=1 / 32,
                   test_functions=("const", "tanh", "cos", "step")), 4))
     assert rung_mb <= 40.0 and domain_mb <= 45.0, (rung_mb, domain_mb)
 
@@ -815,7 +873,6 @@ route = grid
 [grid]
 radius = 3
 mesh = 0.25
-norm_samples = 2000
 
 [weight_params]
 modes = 16
@@ -915,7 +972,6 @@ seed = 0
 [grid]
 radius = 1.2
 mesh = 0.0625
-norm_samples = 2000
 """)
     out = tmp_path / "narrow"
     code = harness.run_experiment(config_path=str(cfg), scope="main",
@@ -1002,6 +1058,20 @@ def test_cli_path_demos_reject_nonlinear_drift(command, capsys):
         cli.main([command, "--weight", "huber"])
     assert exc.value.code == 2
     assert "invalid choice: 'huber'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["resolvent", "--paths", "50"], "need at least 100 paths"),
+    (["semigroup", "--t", "0"], "t must be positive"),
+    (["resolvent", "--lam", "0"], "lam must be positive"),
+], ids=["paths", "t", "lam"])
+def test_cli_path_demos_reject_bad_values(argv, error, capsys):
+    # a value the library refuses is a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"error: {error}" in err
 
 
 def test_cli_wiener_demo(tmp_path, capsys):
