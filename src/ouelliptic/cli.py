@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, mc, proximal, wiener
-from .config import TEST_FUNCTION_NAMES
-from .weights import (abs_weight, diagonal_quadratic_weight, huber_weight,
-                      zero_weight)
+from .config import TEST_FUNCTION_NAMES, ExperimentConfig
+from .weights import abs_weight, huber_weight
 
 _DEMO_WEIGHTS = ("quadratic", "abs", "huber", "zero", "energy")
 # weights with linear_grad, the only ones Monte Carlo paths take
@@ -22,17 +21,11 @@ _PATH_WEIGHTS = ("quadratic", "zero", "energy")
 
 
 def _demo_weight(name: str, dim: int):
-    if name == "quadratic":
-        return diagonal_quadratic_weight(np.full(dim, 0.5))
-    if name == "abs":
-        return abs_weight(dim)
-    if name == "huber":
-        return huber_weight(dim)
-    if name == "zero":
-        return zero_weight(dim)
-    if name == "energy":
-        return wiener.energy_convex_weight(dim)
-    raise SystemExit(f"unknown weight {name!r}")
+    """A path weight as the harness builds it (default weight_params), or
+    abs or huber."""
+    if name in _PATH_WEIGHTS:
+        return harness.make_weight(ExperimentConfig(weight=name), dim)
+    return {"abs": abs_weight, "huber": huber_weight}[name](dim)
 
 
 _FLAGS = {"config": dict(metavar="PATH", help="experiment config file"),

@@ -66,13 +66,6 @@ def tensor_nodes(axis: np.ndarray, dim: int) -> np.ndarray:
                     axis=-1).reshape(-1, dim)
 
 
-@dataclass
-class GridSolution:
-    spec: GridSpec
-    values: np.ndarray                 # (N,) or (N, N)
-    gradient: np.ndarray               # values.shape + (dim,)
-
-
 def _mirror(idx: np.ndarray, n: int) -> np.ndarray:
     """Reflect out-of-range indices back into [0, n)."""
     out = idx.copy()
@@ -131,16 +124,11 @@ def assemble_operator(weight: ConvexWeight, spec: GridSpec):
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
 
-def _grid_gradient(values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return np.stack([np.gradient(values, spec.mesh, axis=k)
-                     for k in range(spec.dim)], axis=-1)
-
-
 def solve_elliptic_grid(weight: ConvexWeight, fs: Sequence[Callable],
                         lam: float, spec: GridSpec,
-                        operator=None) -> list[GridSolution]:
+                        operator=None) -> list[GridFunction]:
     """Solve lam*u - L u = f on the grid for every f in fs, returning one
-    solution (values and gradient) per f.
+    solution's node table per f.
 
     All right-hand sides share one factorisation.  Pass a precomputed
     assemble_operator(...) result as `operator` to skip reassembly when
@@ -157,11 +145,7 @@ def solve_elliptic_grid(weight: ConvexWeight, fs: Sequence[Callable],
     rhs = np.stack([np.asarray(f(pts), dtype=float).ravel() for f in fs], axis=1)
     # spsolve returns 1-D for a single column
     u = spla.spsolve(a, rhs, permc_spec="MMD_AT_PLUS_A")
-    u = u.reshape(k.shape[0], -1)
-    shape = (spec.npoints,) * spec.dim
-    return [GridSolution(spec=spec, values=col.reshape(shape),
-                         gradient=_grid_gradient(col.reshape(shape), spec))
-            for col in u.T]
+    return [GridFunction(spec, col) for col in u.reshape(k.shape[0], -1).T]
 
 
 def apply_generator(weight: ConvexWeight, u, xi: np.ndarray) -> np.ndarray:
@@ -217,18 +201,20 @@ class GridFunction:
     One table holds, per grid point, the value, the gradient columns and
     the full Hessian (row-major), the derivatives taken by central
     differences on the grid; nodes() reads it as it is, and one
-    table_lookup interpolates every column at a point set.
+    table_lookup interpolates every column at a point set.  values are
+    the solution at spec.points(), flat or shaped as the grid.
     """
 
-    def __init__(self, sol: GridSolution):
-        self.spec = sol.spec
-        self._axis = sol.spec.axis()
-        h = sol.spec.mesh
-        d = sol.spec.dim
-        vals = sol.values
+    def __init__(self, spec: GridSpec, values: np.ndarray):
+        self.spec = spec
+        self._axis = spec.axis()
+        h = spec.mesh
+        d = spec.dim
+        vals = np.reshape(values, (spec.npoints,) * d)
         table = np.empty(vals.shape + (1 + d + d * d,))
         table[..., 0] = vals
-        table[..., 1:1 + d] = sol.gradient
+        for k in range(d):
+            table[..., 1 + k] = np.gradient(vals, h, axis=k)
         for i in range(d):
             # second difference, copied one cell onto the faces
             a = np.moveaxis(vals, i, 0)
@@ -238,7 +224,7 @@ class GridFunction:
             dst[-1] = dst[-2]
             for j in range(i + 1, d):
                 table[..., 1 + d + i * d + j] = table[..., 1 + d + j * d + i] = \
-                    np.gradient(sol.gradient[..., i], h, axis=j)
+                    np.gradient(table[..., 1 + i], h, axis=j)
         self._table = table.reshape(-1, table.shape[-1])
 
     def nodes(self):

@@ -357,7 +357,7 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
         sols = grid.solve_elliptic_grid(w, [f for _, f in fs], lam, spec,
                                         operator=op)
         for i, ((name, f), sol) in enumerate(zip(fs, sols)):
-            uv, ug, uh = (a[live] for a in grid.GridFunction(sol).nodes())
+            uv, ug, uh = (a[live] for a in sol.nodes())
             rows += _solution_rows(
                 cfg, n, lam, name, f,
                 (uv, np.sum(ug * ug, -1), np.sum(uh * uh, (-2, -1))),
@@ -398,7 +398,6 @@ def _mc_rows(cfg: ExperimentConfig, n: int) -> list:
     acc = resolvent_batch(w, xc, [f for _, f in fs], list(cfg.lambdas),
                           mc_cfg)
 
-    zeros = np.zeros(cfg.mc_cloud)
     rows = []
     for i, lam in enumerate(cfg.lambdas):
         for j, (name, f) in enumerate(fs):
@@ -409,8 +408,7 @@ def _mc_rows(cfg: ExperimentConfig, n: int) -> list:
             rows += _solution_rows(
                 cfg, n, lam, name, f,
                 (u, np.sum(g * g, 0), np.sum(h * h, (0, 1))),
-                lambda vals, var: sn_sqrt_ratio(vals, fsq, zeros,
-                                                num_sq_var=var),
+                lambda vals, var: sn_sqrt_ratio(vals, fsq, num_sq_var=var),
                 lambda bound: _mc_allowance(bound, lam, cfg), "mc",
                 (uvar, gvar.sum(0), hvar.sum((0, 1))))
     return rows
@@ -450,13 +448,17 @@ def verify_domain_equivalence(cfg: ExperimentConfig) -> EstimateReport:
     Test functions are smooth ridges with closed-form derivatives, so
     both norms and <u, Lu> are node sums on the grid of their active
     coordinates; no equation is solved and nothing is drawn.  These rows
-    are lambda-free and carry lambda = 0.
+    are lambda-free and carry lambda = 0.  They are computed once per
+    active dimension m = min(n, 2) and copied to every n that shares it.
     """
-    rows = []
+    by_m, rows = {}, []
     for n in cfg.dims:
-        done, failed = _guarded(cfg, n, "domain_equiv_ratio",
-                                lambda: _domain_rows(cfg, n))
-        rows += done + failed
+        m = min(n, 2)
+        if m not in by_m:
+            done, failed = _guarded(cfg, m, "domain_equiv_ratio",
+                                    lambda: _domain_rows(cfg, m))
+            by_m[m] = done + failed
+        rows += [dataclasses.replace(r, n=n) for r in by_m[m]]
     return EstimateReport(rows=rows)
 
 
@@ -583,8 +585,8 @@ def _ladder_rung(cfg: ExperimentConfig, n: int) -> dict:
         np.clip(xi, lo, hi, out=xi)
         logw, g_full = np.zeros(_LADDER_SAMPLES), w_eps.subgrad(xi)
     spec = grid.GridSpec(dim=n, radius=cfg.grid_radius, mesh=cfg.grid_mesh)
-    [sol] = grid.solve_elliptic_grid(w_eps, [f], lam, spec)
-    val, gv, hv = grid.GridFunction(sol).jet(xi)
+    [u] = grid.solve_elliptic_grid(w_eps, [f], lam, spec)
+    val, gv, hv = u.jet(xi)
     resid = (lam * val - (np.trace(hv, axis1=-2, axis2=-1)
                           - ((g_full + xi) * gv).sum(-1))
              - np.asarray(f(xi), dtype=float))

@@ -20,12 +20,13 @@ path) and never builds the (starts, paths, n) states.  Since X_t is
 affine in the start, the same pass gives the resolvent's gradient and
 Hessian in the start path by path, from g' and g'' (the pathwise
 derivative estimator); resolvent_oracle gives the same three exactly,
-on the same time nodes.  Noise is drawn from counter-based per-path
-Philox streams keyed by (seed, path index): one normal per coordinate
-per observation time.  So results are bit-identical for a fixed (seed,
-config) regardless of chunking, thread count or evaluation order, and
-runs from different starting points share the same noise (common
-random numbers).
+on the same time nodes.  semigroup_gradient is the same estimator at
+one time: e^{-kappa t} grad f(X_t) per path, from one start.  Noise is
+drawn from counter-based per-path Philox streams keyed by (seed, path
+index): one normal per coordinate per observation time.  So results
+are bit-identical for a fixed (seed, config) regardless of chunking,
+thread count or evaluation order, and runs from different starting
+points share the same noise (common random numbers).
 """
 from __future__ import annotations
 
@@ -157,26 +158,20 @@ def _exact_paths(kappa: np.ndarray, times: np.ndarray, cfg: DiffusionConfig,
 
 def simulate_terminal(weight: ConvexWeight, xi0: np.ndarray, t: float,
                       cfg: DiffusionConfig) -> np.ndarray:
-    """Terminal points X_t of cfg.paths trajectories.
-
-    xi0 is one start (n,), giving (paths, n), or a batch of starts (S, n)
-    advanced under shared per-path noise, giving (S, paths, n), by one
-    exact transition to t.
-    """
+    """Terminal points X_t (paths, n) of cfg.paths trajectories from the
+    start xi0 (n,), by one exact transition to t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     kappa = _kappa(weight)
     xi0 = np.asarray(xi0, dtype=float)
-    starts = np.atleast_2d(xi0)
-    out = np.empty((starts.shape[0], cfg.paths, starts.shape[1]))
-    mean = np.exp(-kappa * t) * starts.T
+    out = np.empty((cfg.paths, xi0.size))
+    mean = np.exp(-kappa[:, 0] * t) * xi0
 
     def jump(k, y, sl):
-        np.add(mean[:, :, None], y[:, None, :],
-               out=out[:, sl].transpose(2, 0, 1))
+        np.add(mean[:, None], y, out=out[sl].T)
 
-    _exact_paths(kappa, np.array([float(t)]), cfg, starts.size, jump)
-    return out if xi0.ndim == 2 else out[0]
+    _exact_paths(kappa, np.array([float(t)]), cfg, xi0.size, jump)
+    return out
 
 
 def semigroup_apply(weight: ConvexWeight, f: Callable, t: float, xi: np.ndarray,
@@ -188,17 +183,16 @@ def semigroup_apply(weight: ConvexWeight, f: Callable, t: float, xi: np.ndarray,
     return MCValue.of_paths(np.asarray(f(term), dtype=float))
 
 
-def semigroup_gradient(weight: ConvexWeight, f: Callable, t: float, xi: np.ndarray,
-                       cfg: DiffusionConfig, h: float = 1e-2) -> list[MCValue]:
-    """Central differences of T_t f at step h with common random numbers."""
+def semigroup_gradient(weight: ConvexWeight, f: CylinderFunction, t: float,
+                       xi: np.ndarray, cfg: DiffusionConfig) -> list[MCValue]:
+    """Gradient of T_t f at xi, one MCValue per coordinate, pathwise:
+    X_t = e^{-kappa t} xi + N_t, so grad T_t f(xi) = E[e^{-kappa t}
+    grad f(X_t)] coordinatewise."""
     if not t > 0:
         raise ValueError("t must be positive")
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    n = xi.size
-    starts = np.concatenate([xi + h * np.eye(n), xi - h * np.eye(n)])
-    vals = np.asarray(f(simulate_terminal(weight, starts, t, cfg)), dtype=float)
-    return [MCValue.of_paths((vals[i] - vals[n + i]) / (2.0 * h))
-            for i in range(n)]
+    per_path = (np.exp(-_kappa(weight)[:, 0] * t)
+                * f.gradient(simulate_terminal(weight, xi, t, cfg)))
+    return [MCValue.of_paths(g) for g in per_path.T]
 
 
 def resolvent_apply(weight: ConvexWeight, f: CylinderFunction, lam: float,

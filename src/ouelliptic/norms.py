@@ -1,10 +1,12 @@
-"""Self-normalized importance sampling under weighted Gaussian measures.
+"""Weighted means and L^2(nu) norms from sample points.
 
-All integrals against the unnormalized measure e^{-U} d(gaussian) are
-estimated as ratios of sample averages, so the unknown normalizing
-constant cancels.  Standard errors come from the delta method applied to
-the joint average (influence functions), which also covers ratios of two
-such integrals over shared samples.
+sn_mean and sn_norm take importance weights exp(logw) and estimate
+integrals against the unnormalized measure e^{-U} d(gaussian) as ratios
+of sample averages, so the unknown normalizing constant cancels (the
+ladder's cloud).  sn_sqrt_ratio takes draws of nu itself, each of equal
+weight (the Monte Carlo route's cloud).  Standard errors come from the
+delta method applied to the joint average (influence functions), which
+also covers ratios of two such integrals over shared samples.
 """
 from __future__ import annotations
 
@@ -24,44 +26,34 @@ def sn_mean(values: np.ndarray, logw: np.ndarray) -> tuple[float, float]:
     return est, se
 
 
-def _norm_sum(terms: np.ndarray, w: np.ndarray, bias: float = 0.0):
-    """Sum of the terms' L^2(nu) norms under the sample weights w, and its
-    influence function; bias is subtracted from each squared norm."""
-    sw, wm = np.sum(w), w.mean()
-    total, infl = 0.0, np.zeros(w.size)
-    for sq in terms:
-        m = float(np.sum(w * sq) / sw) - bias
-        if m <= 0.0:
-            continue
-        total += math.sqrt(m)
-        infl = infl + (w * (sq - m) / wm) / (2.0 * math.sqrt(m))
-    return total, infl
-
-
-def sn_sqrt_ratio(num_sq: np.ndarray, den_sq: np.ndarray, logw: np.ndarray,
+def sn_sqrt_ratio(num_sq: np.ndarray, den_sq: np.ndarray,
                   num_sq_var: np.ndarray | None = None) -> tuple[float, float]:
-    """sum_i sqrt(E_nu[num_sq_i]) / sum_j sqrt(E_nu[den_sq_j]), a ratio of
-    sums of L^2(nu) norms, with a delta-method standard error.
+    """sqrt(E_nu[num_sq]) / sqrt(E_nu[den_sq]), a ratio of L^2(nu) norms,
+    with a delta-method standard error.
 
-    num_sq and den_sq hold per-sample squared integrand values on shared
-    sample points, one row per term: (terms, samples), or (samples,) for
-    one term.  A term whose mean is <= 0 contributes nothing.  When a
-    one-term numerator carries extra inner Monte Carlo noise, pass its
-    per-sample variance in num_sq_var: the mean inner variance is
-    subtracted from the numerator (debiasing the square) and propagated
-    into the reported error.  A vanishing numerator gives (0, inf), a
-    vanishing denominator (nan, inf).
+    num_sq and den_sq hold per-point squared integrand values (samples,)
+    at shared draws of nu.  When the numerator carries extra inner Monte
+    Carlo noise, pass its per-point variance in num_sq_var: the mean
+    inner variance is subtracted from the numerator (debiasing the
+    square) and propagated into the reported error.  A vanishing
+    numerator gives (0, inf), a vanishing denominator (nan, inf).
     """
-    num_sq = np.atleast_2d(np.asarray(num_sq, dtype=float))
-    w = np.exp(logw - np.max(logw))
+    def norm(sq, bias=0.0):
+        # the norm and its influence function; 0 and None if it vanishes
+        m = float(np.mean(sq)) - bias
+        if m <= 0.0:
+            return 0.0, None
+        return math.sqrt(m), (sq - m) / (2.0 * math.sqrt(m))
+
+    num_sq, den_sq = (np.asarray(sq, dtype=float) for sq in (num_sq, den_sq))
+    if num_sq.shape != den_sq.shape:
+        raise ValueError("num_sq and den_sq need one value per sample point")
     bias = inner_se = 0.0
     if num_sq_var is not None:
-        if num_sq.shape[0] != 1:
-            raise ValueError("num_sq_var needs a one-term numerator")
-        bias = float(np.sum(w * num_sq_var) / np.sum(w))
+        bias = float(np.mean(num_sq_var))
         inner_se = bias / math.sqrt(np.size(num_sq_var))
-    a, infl_a = _norm_sum(num_sq, w, bias)
-    b, infl_b = _norm_sum(np.atleast_2d(np.asarray(den_sq, dtype=float)), w)
+    a, infl_a = norm(num_sq, bias)
+    b, infl_b = norm(den_sq)
     if b == 0.0:
         return math.nan, math.inf
     if a == 0.0:

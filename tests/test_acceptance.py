@@ -191,8 +191,8 @@ def test_criterion_06_resolvent_bounds_and_hermite_scaling():
     for k in (1, 2):
         fk = cylinder.hermite(k, coord=0)
         for lam in lams:
-            [sol] = grid.solve_elliptic_grid(zero_weight(1), [fk], lam, spec)
-            got = float(grid.GridFunction(sol).value(np.array([[1.5]]))[0])
+            [u] = grid.solve_elliptic_grid(zero_weight(1), [fk], lam, spec)
+            got = float(u.value(np.array([[1.5]]))[0])
             want = he_vals[k - 1] / (lam + k)
             rel = abs(got - want) / abs(want)
             worst_grid = max(worst_grid, rel)
@@ -224,10 +224,9 @@ def test_criterion_07_grid_mc_cross_validation():
     t0 = time.time()
     w = diagonal_quadratic_weight(np.array([0.5]))
     f = cos_linear(np.array([1.0]))
-    [sol] = grid.solve_elliptic_grid(w, [f], 1.0,
-                                     grid.GridSpec(dim=1, radius=6.0,
-                                                   mesh=1.0 / 64.0))
-    u = grid.GridFunction(sol)
+    [u] = grid.solve_elliptic_grid(w, [f], 1.0,
+                                   grid.GridSpec(dim=1, radius=6.0,
+                                                 mesh=1.0 / 64.0))
     pts = np.array([[-1.6], [-0.8], [0.0], [0.8], [1.6]])
     acc = mc.resolvent_batch(w, pts, [f], [1.0],
                              mc.DiffusionConfig(dt=2e-3, paths=30_000, seed=4))
@@ -370,13 +369,12 @@ def test_criterion_11_galerkin_ladder():
     tw = galerkin.TruncatedWeight(full16, 2, samples=200, seed=5)
     mol = galerkin.mollify(tw.as_convex_weight(), 0.5)
     f = cos_linear(np.array([1.0, 0.4]))
-    [sol] = grid.solve_elliptic_grid(mol, [f.value], 1.0,
-                                     grid.GridSpec(dim=2, radius=6.0,
-                                                   mesh=1.0 / 16.0))
+    [u] = grid.solve_elliptic_grid(mol, [f.value], 1.0,
+                                   grid.GridSpec(dim=2, radius=6.0,
+                                                 mesh=1.0 / 16.0))
     pts = np.random.default_rng(3).standard_normal((100, 16))
     pts[:, :2] = np.clip(pts[:, :2], -2.5, 2.5)
-    resid = galerkin.perturbation_residual(grid.GridFunction(sol), full16,
-                                           mol, 1.0, f.value, pts)
+    resid = galerkin.perturbation_residual(u, full16, mol, 1.0, f.value, pts)
     worst = float(np.max(np.abs(resid)))
     assert worst <= 5e-2
     _pass(11, "truncation ladder: closed form, corrections, residual", t0,

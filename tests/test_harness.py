@@ -623,6 +623,24 @@ def test_domain_rows_do_not_depend_on_n_beyond_two():
     assert len(by_n[0]) == 12 and by_n[0] == by_n[1] == by_n[2]
 
 
+def test_domain_rows_computed_once_per_active_dimension(monkeypatch):
+    """dims 3 and 4 share the active dimension 2, so one _domain_rows call
+    gives the rows of both, copied with n replaced."""
+    calls, domain_rows = [], harness._domain_rows
+
+    def counted(cfg, n):
+        calls.append(n)
+        return domain_rows(cfg, n)
+
+    monkeypatch.setattr(harness, "_domain_rows", counted)
+    rows = harness.verify_domain_equivalence(
+        small_cfg(weight="energy", dims=(3, 4))).rows
+    assert calls == [2]
+    by_n = [[dataclasses.replace(r, n=0) for r in rows if r.n == n]
+            for n in (3, 4)]
+    assert len(rows) == 2 * len(by_n[0]) and by_n[0] == by_n[1]
+
+
 def test_domain_rows_fail_on_a_flipped_drift(monkeypatch):
     """Teeth: with the drift's sign flipped, the domain rows of the energy
     weight at n = 3 and 4 (the Monte Carlo workload's dims, mesh 1/32)

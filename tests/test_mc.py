@@ -145,19 +145,40 @@ def test_semigroup_gradient_linear():
 
 
 def test_semigroup_gradient_constant():
-    g = mc.semigroup_gradient(zero_weight(2), lambda x: np.full(x.shape[:-1], 3.0),
-                              0.5, np.zeros(2), CFG_FAST)
+    g = mc.semigroup_gradient(zero_weight(2), constant(3.0), 0.5, np.zeros(2),
+                              CFG_FAST)
     for gi in g:
         assert gi.mean == pytest.approx(0.0)
         assert gi.std_error == 0.0
 
 
 def test_semigroup_gradient_tanh_bound():
-    f = lambda x: np.tanh(x[..., 0])
+    f = tanh_coord()
     cfg = mc.DiffusionConfig(dt=2e-3, paths=5000, seed=7)
     g = mc.semigroup_gradient(zero_weight(1), f, 1.0, np.array([0.0]), cfg)
     bound = 1.0 / np.sqrt(1.0)
     assert abs(g[0].mean) <= bound * 1.05 + 3 * g[0].std_error
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", ["tanh", "cos", "step"])
+def test_semigroup_gradient_matches_mehler_oracle(name, n):
+    """The pathwise gradient e^{-kappa t} grad f(X_t) under a linear_grad
+    weight against the exact a e^{-kappa_c t} T_t g'(<a, .>) of
+    mehler_oracle, within 3 SE in every coordinate (zero off f.coords)."""
+    f = {"tanh": tanh_coord(), "cos": cos_linear(np.ones(n) / np.sqrt(n)),
+         "step": smoothed_indicator(0.0, 0.5)}[name]
+    w = diagonal_quadratic_weight(wiener.WienerBasis(n).lam)
+    kappa = 1.0 + np.asarray(w.linear_grad)
+    cfg = mc.DiffusionConfig(paths=4000, seed=13)
+    xi = np.array([0.7, -0.4])[:n]
+    for t in (0.25, 1.0):
+        g = mc.semigroup_gradient(w, f, t, xi, cfg)
+        want = np.zeros(n)
+        want[f.coords] = (f.a * np.exp(-kappa[f.coords] * t)
+                          * mc.mehler_oracle(f, t, xi, kappa, order=1))
+        for gi, wi in zip(g, want):
+            assert abs(gi.mean - wi) <= 3.0 * gi.std_error, (t, gi, wi)
 
 
 def test_gradient_bound_dimension_free():
@@ -512,8 +533,7 @@ def test_cross_validation_grid_vs_mc():
     f = cos_linear(np.array([1.0]))
     lam = 1.0
     spec = grid.GridSpec(dim=1, radius=6.0, mesh=1 / 32)
-    [sol] = grid.solve_elliptic_grid(zero_weight(1), [f.value], lam, spec)
-    u = grid.GridFunction(sol)
+    [u] = grid.solve_elliptic_grid(zero_weight(1), [f.value], lam, spec)
     cfg = mc.DiffusionConfig(dt=2e-3, paths=8000, seed=5)
     for xi in (0.0, 0.8, -1.2):
         got = mc.resolvent_apply(zero_weight(1), f, lam, np.array([xi]), cfg)
