@@ -329,6 +329,12 @@ def _node_weights(weight: ConvexWeight, spec: grid.GridSpec) -> np.ndarray:
     return w / np.sum(w)
 
 
+def _node_sum(values: np.ndarray, wts: np.ndarray):
+    """sum_k values[..., k] wts[k], by einsum: unlike a BLAS product, it
+    adds the nodes in the same order whatever the BLAS thread count."""
+    return np.einsum("...k,k->...", values, wts, optimize=False)
+
+
 def _weighted_nodes(weight: ConvexWeight, spec: grid.GridSpec):
     """The grid nodes that carry weight: the mask of them in spec.points()
     order, the nodes themselves and their weights of nu."""
@@ -348,10 +354,10 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
     # f (tests, points) and p (probes, points) at the nodes, with their
     # L2 norms; grad p (probes, points, n)
     fv = np.stack([np.asarray(f(x), dtype=float) for _, f in fs])
-    fl2 = np.sqrt(np.square(fv) @ wts)
+    fl2 = np.sqrt(_node_sum(np.square(fv), wts))
     pv = np.stack([np.asarray(p(x), dtype=float) for p in probes])
     pg = np.stack([p.gradient(x) for p in probes])
-    pl2 = np.sqrt(np.square(pv) @ wts)
+    pl2 = np.sqrt(_node_sum(np.square(pv), wts))
     rows = []
     for lam in cfg.lambdas:
         sols = grid.solve_elliptic_grid(w, [f for _, f in fs], lam, spec,
@@ -361,11 +367,13 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
             rows += _solution_rows(
                 cfg, n, lam, name, f,
                 (uv, np.sum(ug * ug, -1), np.sum(uh * uh, (-2, -1))),
-                lambda vals, var: (math.sqrt(vals @ wts) / fl2[i], 0.0),
+                lambda vals, var: (math.sqrt(_node_sum(vals, wts)) / fl2[i],
+                                   0.0),
                 lambda bound: _grid_allowance(bound, cfg), "grid")
 
             # the weak identity against every probe, one row per probe
-            resid = (lam * uv * pv + np.sum(ug * pg, -1) - fv[i] * pv) @ wts
+            resid = _node_sum(lam * uv * pv + np.sum(ug * pg, -1) - fv[i] * pv,
+                              wts)
             for p, r, l2 in zip(probes, resid, pl2):
                 scale = max(fl2[i] * l2, 1e-12)
                 rows.append(make_row(
@@ -481,7 +489,8 @@ def _ridge_integrals(u: cylinder.CylinderFunction, x: np.ndarray,
     uv, dg, d2g = u.g(s), u.dg(s), u.d2g(s)
     lu = d2g * asq + dg * (b[:, u.coords] @ u.a)
     squares = (uv * uv, np.square(dg) * asq, np.square(d2g * asq), lu * lu)
-    return [math.sqrt(sq @ wts) for sq in squares], float((uv * lu) @ wts)
+    return ([math.sqrt(_node_sum(sq, wts)) for sq in squares],
+            float(_node_sum(uv * lu, wts)))
 
 
 def _domain_rows(cfg: ExperimentConfig, n: int) -> list:

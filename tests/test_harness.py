@@ -573,11 +573,13 @@ def test_domain_rows_match_generic_generator(weight, n):
         u = harness.make_test_function(name, n)
         uv, ug = u(x), u.gradient(x)
         lu = grid.apply_generator(w, u, x)
-        unorm, lnorm = math.sqrt((uv * uv) @ wts), math.sqrt((lu * lu) @ wts)
-        gnorm = math.sqrt(np.sum(ug * ug, -1) @ wts)
-        hnorm = math.sqrt(np.sum(np.square(u.hessian(x)), (-2, -1)) @ wts)
+        node_sum = functools.partial(harness._node_sum, wts=wts)
+        unorm = math.sqrt(node_sum(uv * uv))
+        lnorm = math.sqrt(node_sum(lu * lu))
+        gnorm = math.sqrt(node_sum(np.sum(ug * ug, -1)))
+        hnorm = math.sqrt(node_sum(np.sum(np.square(u.hessian(x)), (-2, -1))))
         graph, w22 = unorm + lnorm, unorm + gnorm + hnorm
-        generic += [graph / w22, w22 / graph, float((uv * lu) @ wts)]
+        generic += [graph / w22, w22 / graph, float(node_sum(uv * lu))]
     harness._max_endpoint_table.cache_clear()
     assert len(closed) == len(generic) == 12
     assert all(r.std_error == 0.0 and r.passed for r in closed)
@@ -1141,6 +1143,26 @@ def test_cli_import_leaves_scipy_special_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_report_does_not_depend_on_blas_threads(tmp_path):
+    # the node sums are einsums, not BLAS products, so a 37,249-node
+    # domain run gives the same report.json under 1 and 2 BLAS threads
+    ini = tmp_path / "domain.ini"
+    ini.write_text("[experiment]\nweight = energy\ndims = 2\n\n"
+                   "[grid]\nmesh = 0.0625\n")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).resolve().parents[1])]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        subprocess.run([sys.executable, "-m", "ouelliptic.cli", "verify-domain",
+                        "--config", str(ini), "--out", str(out), "--quiet"],
+                       env=env, check=True, timeout=120)
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_mc_route_run_loads_no_scipy(tmp_path):
