@@ -271,8 +271,8 @@ def _solution_rows(cfg: ExperimentConfig, n: int, lam: float, name: str,
     jet = (u, |grad u|^2, ||D2 u||_HS^2) at the route's points: the grid
     nodes that carry weight, or the Monte Carlo cloud.  ratio(vals, var)
     gives sqrt(E_nu[vals]) / ||f|| and its standard error: an exact node
-    sum with error 0 on the grid, an importance-sampled ratio on the
-    cloud.  A Monte Carlo solution also passes the per-point sampling
+    sum with error 0 on the grid, a ratio of means over the cloud's
+    draws of nu.  A Monte Carlo solution also passes the per-point sampling
     variances of the three (jet_var).  A constant f has
     derivatives that vanish exactly, so its derivative rows are 0.  The
     sup rows, written when f declares its sup norm, take the largest |u|
