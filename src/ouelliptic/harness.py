@@ -362,8 +362,11 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
     for lam in cfg.lambdas:
         sols = grid.solve_elliptic_grid(w, [f for _, f in fs], lam, spec,
                                         operator=op)
-        for i, ((name, f), sol) in enumerate(zip(fs, sols)):
-            uv, ug, uh = (a[live] for a in sol.nodes())
+        for i, (name, f) in enumerate(fs):
+            # free each node table once read: tables held into the next
+            # factorisation add to the run's peak memory
+            uv, ug, uh = (a[live] for a in sols[i].nodes())
+            sols[i] = None
             rows += _solution_rows(
                 cfg, n, lam, name, f,
                 (uv, np.sum(ug * ug, -1), np.sum(uh * uh, (-2, -1))),
