@@ -7,7 +7,7 @@ spells out but for norm_samples.  A config file is INI with these
 sections and keys, all optional; an absent key keeps its default:
 
   [experiment]  weight, dims, lambdas, test_functions, seed, output_dir, route
-  [mc]          dt, paths, cloud; the paths jump exactly to the 16
+  [mc]          dt, paths; the paths jump exactly to the 16
                 fixed nodes of mc.laplace_rule, so dt sets no step: it
                 only scales the Monte Carlo rows' allowance
   [grid]        radius, mesh, norm_samples; norm_samples is parsed and
@@ -16,8 +16,8 @@ sections and keys, all optional; an absent key keeps its default:
   [weight_params]  coeff, modes, tail_samples, time_points, epsilon; the
                    ones the configured weight reads are range-checked
 
-Lists are whitespace- or comma-separated; paths, cloud, seed,
-norm_samples, modes, tail_samples and time_points are integers.
+Lists are whitespace- or comma-separated; paths, seed, norm_samples,
+modes, tail_samples and time_points are integers.
 An unknown section or key, a value that does not parse and a value that
 fails a check all raise ConfigError, which the CLI maps to exit code 2.
 """
@@ -56,7 +56,6 @@ class ExperimentConfig:
     grid_radius: float = 6.0
     grid_mesh: float = 1.0 / 32.0
     norm_samples: int = 200_000   # read by nothing; perfbench WORKLOADS set it
-    mc_cloud: int = 32
     route: str = "auto"
 
     def __post_init__(self):
@@ -91,8 +90,6 @@ class ExperimentConfig:
                               "with 0 < mesh < radius")
         if self.norm_samples < 1000:
             raise ConfigError("norm_samples must be at least 1000")
-        if self.mc_cloud < 8:
-            raise ConfigError("mc_cloud must be at least 8")
         try:    # every key, absent ones at their defaults, typed as those
             p = {key: type(value)(self.weight_params.get(key, value))
                  for key, value in WEIGHT_PARAMS.items()}
@@ -128,8 +125,7 @@ _KEYS = {
                    "test_functions": ("test_functions", _words),
                    "seed": ("seed", int), "output_dir": ("output_dir", str),
                    "route": ("route", str)},
-    "mc": {"dt": ("mc.dt", float), "paths": ("mc.paths", int),
-           "cloud": ("mc_cloud", int)},
+    "mc": {"dt": ("mc.dt", float), "paths": ("mc.paths", int)},
     "grid": {"radius": ("grid_radius", float), "mesh": ("grid_mesh", float),
              "norm_samples": ("norm_samples", int)},
     "weight_params": {key: (f"weight_params.{key}", type(value))

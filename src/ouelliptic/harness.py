@@ -24,23 +24,27 @@ observed at the 16 nodes of a time rule that errs by about 5e-6
 relative.  Rows whose inequality is lambda-free carry lambda = 0.
 
 Solutions come from the finite-difference grid for n <= 2 and from
-Monte Carlo resolvents for larger n (configurable).  Grid rows are sums
-over the grid nodes against the cell masses of nu, read from the
-solution's node table: deterministic, with standard error 0, so they
-pass on their allowance alone.  The Monte Carlo route is restricted to
-coordinatewise-separable weights, for which a test function of the
-first k coordinates has a solution depending on the same k coordinates;
-its derivatives are the pathwise ones in those.  The domain rows are node
-sums too, on the grid of the at most two coordinates their ridge test
-functions read, with each profile and its derivatives in closed form;
-like the grid rows they carry standard error 0 and the grid allowance.
-The ladder integrates on an importance-sampling cloud, drawn and
-evaluated in row blocks.
+Monte Carlo resolvents for larger n (configurable).  Every ratio row is
+a node sum.  Grid rows sum over the grid nodes against the cell masses
+of nu, read from the solution's node table: deterministic, with standard
+error 0, so they pass on their allowance alone.  The Monte Carlo route
+is restricted to coordinatewise-separable weights, for which a test
+function of the first m coordinates has a solution depending on the
+same m coordinates, with nu's marginal there an explicit product
+Gaussian; its rows sum over a tensor Gauss-Hermite rule on those
+coordinates, with the solution's value and pathwise derivatives at each
+node from one path ensemble, and a standard error from the paths alone.
+The domain rows are node sums too, on the grid of the at most two
+coordinates their ridge test functions read, with each profile and its
+derivatives in closed form; like the grid rows they carry standard
+error 0 and the grid allowance.  The ladder integrates on an
+importance-sampling cloud, drawn and evaluated in row blocks.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -51,7 +55,7 @@ import numpy as np
 from . import cylinder, galerkin, grid, wiener
 from .config import ConfigError, ExperimentConfig, load_config
 from .mc import resolvent_batch
-from .norms import sn_norm, sn_sqrt_ratio
+from .norms import sn_norm
 from .rng import MISC_TAG, NORM_TAG, mix64, substream
 from .weights import ConvexWeight, diagonal_quadratic_weight, zero_weight
 
@@ -64,6 +68,11 @@ _EM_REL = 1.0           # Monte Carlo allowance dt * (1 + 1/lam) per unit
 _WEAK_COEF = 25.0       # weak-identity allowance in units of mesh^2
 _LADDER_SAMPLES = 20_000
 _BLOCK_ROWS = 2_048     # ladder-rung cloud rows drawn and evaluated at once
+# Gauss-Hermite nodes per axis of the Monte Carlo rows' rule, by the test
+# function's active dimension; against 60 nodes (resolvent_oracle, energy
+# at n = 3 and 4) they err by at most 6.3e-5 relative for tanh and step
+# and 4.9e-8 for cos on two coordinates
+_HERMITE_NODES = {0: 1, 1: 20, 2: 8}
 
 
 # ---------------------------------------------------------------------------
@@ -264,42 +273,34 @@ def _mc_allowance(bound: float, lam: float, cfg: ExperimentConfig) -> float:
 
 
 def _solution_rows(cfg: ExperimentConfig, n: int, lam: float, name: str,
-                   f: cylinder.CylinderFunction, jet, ratio, allowance,
-                   route: str, jet_var=(None, None, None)) -> list:
+                   f: cylinder.CylinderFunction, ratios, sups, allowance,
+                   route: str) -> list:
     """The L2, grad, hess, sup and grad_sup ratio rows of one solution.
 
-    jet = (u, |grad u|^2, ||D2 u||_HS^2) at the route's points: the grid
-    nodes that carry weight, or the Monte Carlo cloud.  ratio(vals, var)
-    gives sqrt(E_nu[vals]) / ||f|| and its standard error: an exact node
-    sum with error 0 on the grid, a ratio of means over the cloud's
-    draws of nu.  A Monte Carlo solution also passes the per-point sampling
-    variances of the three (jet_var).  A constant f has
-    derivatives that vanish exactly, so its derivative rows are 0.  The
-    sup rows, written when f declares its sup norm, take the largest |u|
-    and |grad u| over the points.  allowance(bound) is the route's
-    allowance for a row of that bound.
+    ratios holds (estimate, standard error) of ||u|| / ||f||,
+    ||grad u|| / ||f|| and ||D2 u||_HS / ||f||, from the route's nodes.
+    sups holds |u| and |grad u| at those nodes, each with its per-node
+    standard error (None on the grid, whose node values are exact); the
+    sup rows, written when f declares its sup norm, take the largest of
+    them.  A constant f has derivatives that vanish exactly, so its
+    derivative rows are 0.  allowance(bound) is the route's allowance for
+    a row of that bound.
     """
-    u, gsq, hsq = jet
-    uvar, gvar, hvar = jet_var
-    flat = f.active_dim == 0
-    # quantity, derivative order, bound, per-point value, its variance
-    table = [("L2_ratio", 0, 1.0 / lam, u * u, uvar),
-             ("grad_ratio", 1, 1.0 / math.sqrt(lam), gsq, gvar),
-             ("hess_ratio", 2, HESS_CONSTANT, hsq, hvar)]
+    table = [("L2_ratio", 0, 1.0 / lam, ratios[0]),
+             ("grad_ratio", 1, 1.0 / math.sqrt(lam), ratios[1]),
+             ("hess_ratio", 2, HESS_CONSTANT, ratios[2])]
     if f.sup_norm:
-        table += [("sup_ratio", 0, 1.0 / lam, np.abs(u), uvar),
-                  ("grad_sup_ratio", 1, math.sqrt(math.pi / lam),
-                   np.sqrt(gsq), gvar)]
-    rows = []
-    for quantity, order, bound, vals, var in table:
-        if flat and order:
-            est, se = 0.0, 0.0
-        elif "sup" in quantity:
+        for quantity, order, bound, (vals, se) in (
+                ("sup_ratio", 0, 1.0 / lam, sups[0]),
+                ("grad_sup_ratio", 1, math.sqrt(math.pi / lam), sups[1])):
             k = int(np.argmax(vals))
-            est = vals[k] / f.sup_norm
-            se = 0.0 if var is None else math.sqrt(var[k]) / f.sup_norm
-        else:
-            est, se = ratio(vals, var)
+            table.append((quantity, order, bound,
+                          (vals[k] / f.sup_norm,
+                           0.0 if se is None else se[k] / f.sup_norm)))
+    rows = []
+    for quantity, order, bound, (est, se) in table:
+        if f.active_dim == 0 and order:
+            est, se = 0.0, 0.0
         rows.append(make_row(cfg.weight, n, lam, quantity, est, se, bound,
                              allowance=allowance(bound),
                              f_label=name, route=route))
@@ -367,11 +368,12 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
             # factorisation add to the run's peak memory
             uv, ug, uh = (a[live] for a in sols[i].nodes())
             sols[i] = None
+            gsq, hsq = np.sum(ug * ug, -1), np.sum(uh * uh, (-2, -1))
             rows += _solution_rows(
                 cfg, n, lam, name, f,
-                (uv, np.sum(ug * ug, -1), np.sum(uh * uh, (-2, -1))),
-                lambda vals, var: (math.sqrt(_node_sum(vals, wts)) / fl2[i],
-                                   0.0),
+                [(math.sqrt(_node_sum(sq, wts)) / fl2[i], 0.0)
+                 for sq in (uv * uv, gsq, hsq)],
+                ((np.abs(uv), None), (np.sqrt(gsq), None)),
                 lambda bound: _grid_allowance(bound, cfg), "grid")
 
             # the weak identity against every probe, one row per probe
@@ -389,39 +391,77 @@ def _grid_rows(cfg: ExperimentConfig, n: int) -> list:
 # ---------------------------------------------------------------------------
 # Monte Carlo route
 
-def _path_stats(per_path):
-    """Mean over the last (path) axis and the variance of that mean."""
-    return (per_path.mean(axis=-1),
-            per_path.var(axis=-1, ddof=1) / per_path.shape[-1])
+def _hermite_rule(f: cylinder.CylinderFunction, kappa: np.ndarray, n: int):
+    """Starts (Q^m, n) and weights (Q^m,) of the tensor Gauss-Hermite rule
+    of nu's marginal on f's m = f.active_dim coordinates, N(0, 1/kappa_i)
+    on each, with Q = _HERMITE_NODES[m]; the other coordinates are 0."""
+    m = f.active_dim
+    z, w = np.polynomial.hermite_e.hermegauss(_HERMITE_NODES[m])
+    z, w = (np.array(list(itertools.product(v, repeat=m))) for v in (z, w))
+    starts = np.zeros((len(z), n))
+    starts[:, :m] = z / np.sqrt(kappa[:m])
+    return starts, np.prod(w, axis=1) / (2.0 * math.pi) ** (m / 2.0)
+
+
+def _path_ratio(per_path: np.ndarray, wts: np.ndarray, f_l2: float):
+    """sqrt(sum_k wts[k] |E per_path[..., k, :]|^2) / f_l2 and its
+    standard error, from the per-path values (..., K, paths) at K nodes,
+    |.| summing the leading axes.
+
+    Each squared path mean is debiased by the variance of that mean.  All
+    nodes share the paths, so the standard error is the delta method per
+    path: the sum's influence of path p is 2 sum_k wts[k] <mean_k, value
+    of p at k>.  A sum that is not positive gives (0, inf).
+    """
+    paths = per_path.shape[-1]
+    per_path = per_path.reshape(-1, wts.size, paths)
+    mean = per_path.mean(-1)
+    var = per_path.var(-1, ddof=1) / paths
+    sq = float(_node_sum(np.sum(mean * mean - var, 0), wts))
+    if sq <= 0.0:
+        return 0.0, math.inf
+    infl = np.einsum("ck,ckp->p", mean * wts, per_path, optimize=False)
+    return (math.sqrt(sq) / f_l2,
+            float(np.std(infl, ddof=1)) / math.sqrt(paths * sq) / f_l2)
 
 
 def _mc_rows(cfg: ExperimentConfig, n: int) -> list:
+    """The ratio rows of the Monte Carlo route at dimension n.
+
+    A test function f reads only its first m = f.active_dim coordinates,
+    and so does its solution under a separable weight, whose nu has the
+    product marginal N(0, 1/kappa_i) there.  So every norm is a sum over
+    the nodes of a tensor Gauss-Hermite rule on those coordinates
+    (_hermite_rule), ||f|| included: the solution's value, gradient and
+    Hessian at each node are path means from one ensemble that every
+    function shares, and each row's standard error comes from the paths
+    alone.  The sup rows take the largest path mean over the nodes.
+    """
     w = make_weight(cfg, n)
     if w.linear_grad is None:
         raise ConfigError("Monte Carlo route requires a separable weight")
+    kappa = 1.0 + np.asarray(w.linear_grad, dtype=float)
     fs = [(name, make_test_function(name, n)) for name in cfg.test_functions]
-
-    # stationary cloud: exact product Gaussian for the linear drift
-    rng = substream(cfg.seed, NORM_TAG, 2, n)
-    xc = rng.standard_normal((cfg.mc_cloud, n)) / np.sqrt(
-        1.0 + np.asarray(w.linear_grad))
+    rules = [_hermite_rule(f, kappa, n) for _, f in fs]
     mc_cfg = dataclasses.replace(cfg.mc, seed=int(mix64(cfg.seed, 7001, n)))
-    acc = resolvent_batch(w, xc, [f for _, f in fs], list(cfg.lambdas),
-                          mc_cfg)
+    acc = resolvent_batch(w, [x for x, _ in rules], [f for _, f in fs],
+                          list(cfg.lambdas), mc_cfg)
 
     rows = []
-    for i, lam in enumerate(cfg.lambdas):
-        for j, (name, f) in enumerate(fs):
-            u, uvar = _path_stats(acc[i][j].value)
-            g, gvar = _path_stats(acc[i][j].grad)
-            h, hvar = _path_stats(acc[i][j].hess)
-            fsq = np.square(np.asarray(f(xc), dtype=float))
+    for j, ((name, f), (x, wts)) in enumerate(zip(fs, rules)):
+        f_l2 = math.sqrt(_node_sum(np.square(np.asarray(f(x), dtype=float)),
+                                   wts))
+        for i, lam in enumerate(cfg.lambdas):
+            jet = acc[i][j]
+            u, g = jet.value.mean(-1), jet.grad.mean(-1)
+            uvar, gvar = (p.var(-1, ddof=1) / mc_cfg.paths
+                          for p in (jet.value, jet.grad))
             rows += _solution_rows(
                 cfg, n, lam, name, f,
-                (u, np.sum(g * g, 0), np.sum(h * h, (0, 1))),
-                lambda vals, var: sn_sqrt_ratio(vals, fsq, num_sq_var=var),
-                lambda bound: _mc_allowance(bound, lam, cfg), "mc",
-                (uvar, gvar.sum(0), hvar.sum((0, 1))))
+                [_path_ratio(p, wts, f_l2) for p in jet],
+                ((np.abs(u), np.sqrt(uvar)),
+                 (np.sqrt(np.sum(g * g, 0)), np.sqrt(np.sum(gvar, 0)))),
+                lambda bound: _mc_allowance(bound, lam, cfg), "mc")
     return rows
 
 

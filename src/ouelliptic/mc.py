@@ -202,7 +202,7 @@ def resolvent_apply(weight: ConvexWeight, f: CylinderFunction, lam: float,
     The time rule of laplace_rule cuts off no horizon, so the error is
     the paths' standard error alone.
     """
-    acc = resolvent_batch(weight, np.reshape(xi, (1, -1)), [f], [lam], cfg)
+    acc = resolvent_batch(weight, [np.reshape(xi, (1, -1))], [f], [lam], cfg)
     return MCValue.of_paths(acc[0][0].value[0])
 
 
@@ -214,7 +214,7 @@ def resolvent_derivatives(weight: ConvexWeight, f: CylinderFunction, lam: float,
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     n = xi.size
-    jet = resolvent_batch(weight, xi[None, :], [f], [lam], cfg)[0][0]
+    jet = resolvent_batch(weight, [xi[None, :]], [f], [lam], cfg)[0][0]
     grad = np.zeros((n, cfg.paths))
     grad[f.coords] = jet.grad[:, 0]
     hess = np.zeros((n, n, cfg.paths))
@@ -224,13 +224,15 @@ def resolvent_derivatives(weight: ConvexWeight, f: CylinderFunction, lam: float,
                      dtype=object))
 
 
-def resolvent_batch(weight: ConvexWeight, starts: np.ndarray,
+def resolvent_batch(weight: ConvexWeight, starts: Sequence[np.ndarray],
                     fs: Sequence[CylinderFunction], lams: Sequence[float],
                     cfg: DiffusionConfig):
     """Per-path resolvent accumulators for many (lam, f) pairs at once.
 
-    One trajectory ensemble of a weight with linear_grad serves every
-    pair.  Returns acc with acc[i_lam][i_f] the PathJet at the S starts.
+    starts holds one array of starts (S_j, n) per function fs[j].  One
+    trajectory ensemble of a weight with linear_grad serves every pair.
+    Returns acc with acc[i_lam][i_f] the PathJet at that function's S_j
+    starts.
 
     The paths are observed at the lam-free nodes of laplace_rule, so
     every lam sees the same observations.  Each ridge function f =
@@ -250,20 +252,22 @@ def resolvent_batch(weight: ConvexWeight, starts: np.ndarray,
     """
     if not all(lam > 0 for lam in lams):
         raise ValueError("lam must be positive")
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    starts = [np.atleast_2d(np.asarray(s, dtype=float)) for s in starts]
+    if len(starts) != len(fs):
+        raise ValueError("need one start array per test function")
     kappa = _kappa(weight)
     times, node_w = laplace_rule(lams)
     decays = np.exp(-kappa[:, 0] * times[:, None])          # (nodes, n)
-    s_count = starts.shape[0]
 
-    def zeros(*shape):
-        return np.zeros(shape + (s_count, cfg.paths))
+    def zeros(s, *shape):
+        return np.zeros(shape + (s.shape[0], cfg.paths))
 
-    acc = [[PathJet(zeros(), zeros(f.a.size), zeros(f.a.size, f.a.size))
-            for f in fs] for _ in lams]
+    acc = [[PathJet(zeros(s), zeros(s, f.a.size), zeros(s, f.a.size, f.a.size))
+            for f, s in zip(fs, starts)] for _ in lams]
     # alpha by (node, start) per f; per cosine, (cos, sin) of beta by
     # (node, path)
-    alphas = [(decays[:, None, f.coords] * starts[:, f.coords]) @ f.a for f in fs]
+    alphas = [(decays[:, None, f.coords] * s[:, f.coords]) @ f.a
+              for f, s in zip(fs, starts)]
     at_path = {j: np.empty((2, times.size, cfg.paths))
                for j, f in enumerate(fs) if f.g is np.cos}
 
@@ -283,7 +287,7 @@ def resolvent_batch(weight: ConvexWeight, starts: np.ndarray,
                 jet.grad[..., sl] += (w * d)[:, None, None] * dv
                 jet.hess[..., sl] += (w * dd)[..., None, None] * d2v
 
-    _exact_paths(kappa, times, cfg, s_count * starts.shape[1], observe)
+    _exact_paths(kappa, times, cfg, sum(s.size for s in starts), observe)
     for j, cs in at_path.items():
         f = fs[j]
         c, s = np.cos(alphas[j]), np.sin(alphas[j])

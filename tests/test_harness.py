@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, report rows, routes, CLI wiring."""
 
 import ast
+import configparser
 import csv
 import dataclasses
 import functools
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ouelliptic import cli, galerkin, grid, harness, wiener
+from ouelliptic import cli, config, galerkin, grid, harness, mc, wiener
 from ouelliptic.config import default_config, load_config
 from ouelliptic.harness import ConfigError, EstimateReport, ExperimentConfig, make_row
 from ouelliptic.mc import DiffusionConfig
@@ -56,7 +57,7 @@ def small_cfg(**overrides):
     base = dict(
         weight="zero", dims=(1,), lambdas=(1.0,), test_functions=("const",),
         mc=DiffusionConfig(dt=0.05, paths=400, seed=0), output_dir="results",
-        seed=0, mc_cloud=8)
+        seed=0)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -87,7 +88,6 @@ route = grid        ; solver choice
 [mc]
 dt = 0.01
 paths = 5000
-cloud = 16
 
 [grid]
 radius = 4
@@ -104,10 +104,26 @@ coeff = 0.25
     assert cfg.test_functions == ("const", "cos")
     assert cfg.seed == 7 and cfg.route == "grid"
     assert cfg.mc.dt == 0.01 and cfg.mc.paths == 5000
-    assert cfg.mc_cloud == 16
     assert cfg.grid_radius == 4.0 and cfg.grid_mesh == 0.25
     assert cfg.norm_samples == 3000
     assert cfg.weight_params["coeff"] == 0.25
+    # the Monte Carlo rows take Gauss-Hermite nodes, not a cloud of draws
+    p.write_text("[mc]\ncloud = 32\n")
+    with pytest.raises(ConfigError, match="unknown key 'cloud'"):
+        load_config(p)
+    assert harness.run_experiment(config_path=p, quiet=True) == 2
+
+
+def test_readme_config_block_lists_every_key():
+    """README's INI block names exactly the sections and keys that
+    config._KEYS accepts, so a removed or added key cannot leave it
+    stale."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read_string(block)
+    assert {name: sorted(parser[name]) for name in parser.sections()} == {
+        name: sorted(keys) for name, keys in config._KEYS.items()}
 
 
 def test_config_missing_file():
@@ -160,7 +176,7 @@ def test_config_bad_values(tmp_path):
     {"route": "mc", "weight": "max-endpoint"},
     {"grid_mesh": 0.0},
     {"norm_samples": 10},
-    {"mc_cloud": 2},
+    {"grid_mesh": float("nan")},
     {"lambdas": (float("nan"),)},
     {"weight": "max-endpoint", "weight_params": {"modes": 2}, "dims": (1, 2)},
     {"weight": "max-endpoint", "weight_params": {"modes": 1}, "dims": (1,)},
@@ -407,6 +423,72 @@ def test_constant_derivative_rows_are_exact_zeros():
         assert len(flat) == 3
         assert all(r.estimate == 0.0 and r.std_error == 0.0 and r.passed
                    for r in flat)
+
+
+def _oracle_ratios(w, f, lam, x, wts):
+    """||u|| / ||f||, ||grad u|| / ||f|| and ||D2 u||_HS / ||f|| on the
+    nodes x with weights wts, from the exact resolvent_oracle."""
+    f_l2 = math.sqrt(harness._node_sum(np.square(f(x)), wts))
+    return [math.sqrt(harness._node_sum(
+                np.sum(np.square(a).reshape(-1, wts.size), 0), wts)) / f_l2
+            for a in mc.resolvent_oracle(w, f, lam, x)]
+
+
+_RATIOS = ("L2_ratio", "grad_ratio", "hess_ratio")
+
+
+def test_mc_rows_match_oracle_on_the_same_nodes():
+    """Energy at n = 4, 2,000 paths: every non-const L2, grad and hess row
+    of the Monte Carlo route lies within 4 standard errors of the same
+    ratio built from the exact resolvent_oracle on the same Gauss-Hermite
+    nodes, its standard error (from the paths alone) is finite and
+    positive, and the const derivative rows are exact zeros."""
+    n = 4
+    cfg = small_cfg(weight="energy", dims=(n,), route="mc",
+                    lambdas=(0.5, 1.0, 2.0),
+                    test_functions=("const", "tanh", "cos", "step"),
+                    mc=DiffusionConfig(paths=2000, seed=0))
+    rows = {(r.lam, r.quantity, r.f_label): r for r in harness._mc_rows(cfg, n)}
+    w = harness.make_weight(cfg, n)
+    kappa = 1.0 + np.asarray(w.linear_grad)
+    checked = 0
+    for name in ("tanh", "cos", "step"):
+        f = harness.make_test_function(name, n)
+        x, wts = harness._hermite_rule(f, kappa, n)
+        for lam in cfg.lambdas:
+            for quantity, want in zip(_RATIOS,
+                                      _oracle_ratios(w, f, lam, x, wts)):
+                r = rows[(lam, quantity, name)]
+                assert 0.0 < r.std_error < math.inf
+                assert abs(r.estimate - want) <= 4.0 * r.std_error
+                checked += 1
+    assert checked == 27
+    for lam in cfg.lambdas:
+        for quantity in ("grad_ratio", "hess_ratio", "grad_sup_ratio"):
+            r = rows[(lam, quantity, "const")]
+            assert r.estimate == 0.0 and r.std_error == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_mc_rule_node_counts_against_a_fine_rule(n, monkeypatch):
+    """The Gauss-Hermite node counts of _HERMITE_NODES against 60 nodes
+    per axis, both with the exact oracle, at every lambda: within 1e-4
+    relative for tanh and step (measured 6.3e-5) and 1e-6 for cos on two
+    coordinates (measured 4.9e-8)."""
+    cfg = small_cfg(weight="energy", dims=(n,))
+    w = harness.make_weight(cfg, n)
+    kappa = 1.0 + np.asarray(w.linear_grad)
+    for name, tol in (("tanh", 1e-4), ("step", 1e-4), ("cos", 1e-6)):
+        f = harness.make_test_function(name, n)
+        rule = harness._hermite_rule(f, kappa, n)
+        with monkeypatch.context() as m:
+            m.setitem(harness._HERMITE_NODES, f.active_dim, 60)
+            fine = harness._hermite_rule(f, kappa, n)
+        assert len(fine[1]) == 60 ** f.active_dim > len(rule[1])
+        for lam in (0.5, 1.0, 2.0):
+            got = _oracle_ratios(w, f, lam, *rule)
+            want = _oracle_ratios(w, f, lam, *fine)
+            np.testing.assert_allclose(got, want, rtol=tol, atol=0)
 
 
 def test_failed_solve_becomes_failing_row(monkeypatch):

@@ -229,7 +229,7 @@ def test_resolvent_rejects_bad_lambda():
         with pytest.raises(ValueError, match="lam must be positive"):
             mc.resolvent_apply(w, f, lam, x, CFG_FAST)
         with pytest.raises(ValueError, match="lam must be positive"):
-            mc.resolvent_batch(w, x[None, :], [f], [1.0, lam], CFG_FAST)
+            mc.resolvent_batch(w, [x[None, :]], [f], [1.0, lam], CFG_FAST)
         with pytest.raises(ValueError, match="lam must be positive"):
             mc.resolvent_derivatives(w, f, lam, x, CFG_FAST)
 
@@ -271,7 +271,7 @@ def _richardson_jet(w, f, lam, xi, h, cfg):
                    for s in (1, 2) for si in (1, -1) for sj in (1, -1)}
     shifts = sorted(shifts)
     starts = xi + h * (np.array(shifts) @ np.eye(xi.size)[f.coords])
-    vals = mc.resolvent_batch(w, starts, [f], [lam], cfg)[0][0].value
+    vals = mc.resolvent_batch(w, [starts], [f], [lam], cfg)[0][0].value
     u = dict(zip(shifts, vals))
 
     def at(*moves):                      # u at h * sum of (coord, steps)
@@ -304,7 +304,7 @@ def test_pathwise_jet_matches_richardson(f):
     w = diagonal_quadratic_weight(np.array([0.5, 0.25]))
     xi = np.array([0.3, -0.4])
     cfg = mc.DiffusionConfig(dt=0.05, paths=200, seed=3)
-    jet = mc.resolvent_batch(w, xi[None, :], [f], [1.0], cfg)[0][0]
+    jet = mc.resolvent_batch(w, [xi[None, :]], [f], [1.0], cfg)[0][0]
     grad, hess = _richardson_jet(w, f, 1.0, xi, 0.05, cfg)
     assert jet.grad.shape == (f.a.size, 1, cfg.paths)
     assert jet.hess.shape == (f.a.size, f.a.size, 1, cfg.paths)
@@ -326,7 +326,8 @@ def test_resolvent_jets_hermite_closed_form():
 
     fs = [hermite(k) for k in (1, 2, 3)]
     cfg = mc.DiffusionConfig(dt=0.02, paths=4000, seed=8)
-    acc = mc.resolvent_batch(zero_weight(1), np.array([[x]]), fs, lams, cfg)
+    acc = mc.resolvent_batch(zero_weight(1), [np.array([[x]])] * len(fs), fs,
+                             lams, cfg)
     for i, lam in enumerate(lams):
         for k, jet in zip((1, 2, 3), acc[i]):
             wants = [he(k), k * he(k - 1), k * (k - 1) * he(k - 2)]
@@ -400,7 +401,7 @@ def test_exact_path_jets_match_oracle():
           smoothed_indicator(0.0, 0.5)]
     lams = [0.5, 1.0, 2.0]
     cfg = mc.DiffusionConfig(dt=0.02, paths=2000, seed=7)
-    acc = mc.resolvent_batch(w, x, fs, lams, cfg)
+    acc = mc.resolvent_batch(w, [x] * len(fs), fs, lams, cfg)
     for i, lam in enumerate(lams):
         for j, f in enumerate(fs):
             for per_path, want in zip(acc[i][j], mc.resolvent_oracle(w, f, lam, x)):
@@ -427,7 +428,7 @@ def test_paths_need_linear_grad():
     """Only a linear drift has exact paths; any other weight raises."""
     w, f, x = huber_weight(1), tanh_coord(), np.array([0.0])
     with pytest.raises(ValueError, match="linear_grad"):
-        mc.resolvent_batch(w, x[None, :], [f], [1.0], CFG_FAST)
+        mc.resolvent_batch(w, [x[None, :]], [f], [1.0], CFG_FAST)
     with pytest.raises(ValueError, match="linear_grad"):
         mc.simulate_terminal(w, x, 1.0, CFG_FAST)
     with pytest.raises(ValueError, match="linear_grad"):
@@ -453,9 +454,9 @@ def test_resolvent_batch_shares_ensemble_across_lambdas():
     starts = np.array([[0.0, 0.0], [0.8, -0.5]])
     cfg = mc.DiffusionConfig(dt=4e-3, paths=500, seed=5)
     lams = [0.5, 1.0, 2.0]
-    acc = mc.resolvent_batch(w, starts, [f], lams, cfg)
+    acc = mc.resolvent_batch(w, [starts], [f], lams, cfg)
     for i, lam in enumerate(lams):
-        one_acc = mc.resolvent_batch(w, starts, [f], [lam], cfg)
+        one_acc = mc.resolvent_batch(w, [starts], [f], [lam], cfg)
         assert _same_jets(acc[i][0], one_acc[0][0])
 
 
@@ -466,9 +467,9 @@ def test_resolvent_batch_chunk_invariant(w, monkeypatch):
     starts = np.array([[0.0, 0.0], [0.8, -0.5], [-1.2, 0.3]])
     fs = [cos_linear(np.array([1.0, 1.0]) / np.sqrt(2)), tanh_coord()]
     cfg = mc.DiffusionConfig(dt=0.05, paths=300, seed=11)
-    acc = mc.resolvent_batch(w, starts, fs, [0.5, 2.0], cfg)
-    monkeypatch.setattr(mc, "_STATE_BUDGET", starts.size * 100)   # 3 chunks
-    chunked_acc = mc.resolvent_batch(w, starts, fs, [0.5, 2.0], cfg)
+    acc = mc.resolvent_batch(w, [starts] * len(fs), fs, [0.5, 2.0], cfg)
+    monkeypatch.setattr(mc, "_STATE_BUDGET", len(fs) * starts.size * 100)  # 3 chunks
+    chunked_acc = mc.resolvent_batch(w, [starts] * len(fs), fs, [0.5, 2.0], cfg)
     for row, chunked_row in zip(acc, chunked_acc):
         for a, b in zip(row, chunked_row):
             assert _same_jets(a, b)
@@ -517,7 +518,8 @@ def test_projected_observer_matches_states():
                cos_linear(np.array([0.6, -0.8, 0.5]))]
     lams = [0.5, 2.0]
     cfg = mc.DiffusionConfig(dt=0.1, paths=150, seed=4)
-    acc = mc.resolvent_batch(w, starts, exact_fs + trig_fs, lams, cfg)
+    fs = exact_fs + trig_fs
+    acc = mc.resolvent_batch(w, [starts] * len(fs), fs, lams, cfg)
     want = _state_batch(w, starts, exact_fs + trig_fs, lams, cfg)
     for i in range(len(lams)):
         for j in range(len(exact_fs)):
