@@ -113,10 +113,11 @@ def _cmd_wiener_demo(args) -> int:
 def _cmd_verify(args, scope: str) -> int:
     return harness.run_experiment(config_path=args.config, scope=scope,
                                   seed=args.seed, out=args.out,
-                                  paths=args.paths, quiet=args.quiet)
+                                  quiet=args.quiet)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser: one subparser per subcommand."""
     parser = argparse.ArgumentParser(
         prog="ouelliptic",
         description="Weighted Gaussian elliptic solver toolkit")
@@ -146,11 +147,14 @@ def main(argv=None) -> int:
     p.add_argument("--modes", type=int, default=64)
 
     _subcommand(subs, "verify-estimates", lambda a: _cmd_verify(a, "all"),
-                "run the estimate verification suite", *_FLAGS)
+                "run the estimate verification suite", "config", "seed", "out")
     _subcommand(subs, "verify-domain", lambda a: _cmd_verify(a, "domain"),
-                "run the domain-equivalence checks", *_FLAGS)
+                "run the domain-equivalence checks", "config", "seed", "out")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except ValueError as e:     # a flag value the library refuses

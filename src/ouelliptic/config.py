@@ -14,7 +14,9 @@ sections and keys, all optional; an absent key keeps its default:
                 checked but read by nothing, and stays only because the
                 benchmark's workloads (perfbench/run.py) still set it
   [weight_params]  coeff, modes, tail_samples, time_points, epsilon; the
-                   ones the configured weight reads are range-checked
+                   ones the configured weight reads are range-checked;
+                   epsilon is the one scale the max-endpoint weight is
+                   mollified at, for every stage and ladder rung
 
 Lists are whitespace- or comma-separated; paths, seed, norm_samples,
 modes, tail_samples and time_points are integers.

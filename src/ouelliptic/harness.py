@@ -96,45 +96,31 @@ def make_weight(cfg: ExperimentConfig, n: int) -> ConvexWeight:
         if not diag.any():
             return zero_weight(n)
         return diagonal_quadratic_weight(diag, label=cfg.weight)
-    return _mollified_weight(cfg, n)
-
-
-def _ladder_epsilon(n: int) -> float:
-    return 1.0 / n      # the truncation ladder's mollification scale
-
-
-def _mollified_weight(cfg: ExperimentConfig, n: int, eps=None) -> ConvexWeight:
-    """The max-endpoint weight at dimension n, mollified at scale eps (by
-    default the config's epsilon), read from the node table of its scale."""
     p = cfg.weight_params
-    table = _max_endpoint_table(n, p["modes"], p["tail_samples"], cfg.seed,
-                                p["time_points"], p["epsilon"],
-                                cfg.grid_radius, cfg.grid_mesh)
-    return table[p["epsilon"] if eps is None else eps]
+    return _max_endpoint_table(n, p["modes"], p["tail_samples"], cfg.seed,
+                               p["time_points"], p["epsilon"],
+                               cfg.grid_radius, cfg.grid_mesh)
 
 
 # A run needs one entry per grid dim (1 and 2), shared by every stage.
 @functools.lru_cache(maxsize=2)
 def _max_endpoint_table(n, modes, tail_samples, seed, time_points, eps,
-                        radius, mesh) -> dict:
-    """Node tables of the mollified max-endpoint weight at dimension n,
-    keyed by scale: the config's eps and the ladder's 1/n.
+                        radius, mesh) -> ConvexWeight:
+    """The max-endpoint weight at dimension n, mollified at scale eps, as
+    a node table on the grid box.
 
     The truncated weight is tabulated once (and dropped after), on the
-    grid box widened by the larger scale and one mesh; nodes are
-    multiples of the mesh, so a smaller scale's shifted queries meet the
-    same cells and values as on a table widened by that scale alone.
-    Each scale's mollification is evaluated, value and subgradient in one
-    pass, at the grid nodes: bit-identical there, so the grid drift does
-    not move, and off by one cell's bilinear error between them.
+    grid box widened by eps and one mesh, so the mollifier's shifted
+    queries stay inside it.  The mollification is evaluated, value and
+    subgradient in one pass, at the grid nodes: bit-identical there, so
+    the grid drift does not move, and off by one cell's bilinear error
+    between them.
     """
-    scales = {eps, _ladder_epsilon(n)}
     raw = galerkin.tabulate_weight(
         wiener.max_endpoint_truncated(n, modes=modes, samples=tail_samples,
                                       seed=seed, time_points=time_points),
-        radius + max(scales) + mesh, mesh)
-    return {s: galerkin.tabulate_weight(galerkin.mollify(raw, s), radius, mesh)
-            for s in sorted(scales)}
+        radius + eps + mesh, mesh)
+    return galerkin.tabulate_weight(galerkin.mollify(raw, eps), radius, mesh)
 
 
 def make_test_function(name: str, n: int) -> cylinder.CylinderFunction:
@@ -571,16 +557,17 @@ def _domain_rows(cfg: ExperimentConfig, n: int) -> list:
 def ladder_table(cfg: ExperimentConfig) -> tuple[list, list]:
     """Residual of the full equation along the truncation ladder.
 
-    For each grid-solvable n the reduced problem is solved with the
-    weight mollified at scale eps = 1/n (a separable weight is its own
-    mollification up to a constant, so it is used as is), and
-    || lam V - L V - f || is estimated in L^2 of the full weighted
-    measure at the master truncation; the drift gap makes it shrink as
-    n grows.  For a separable weight the full drift in the first n
-    coordinates reads only those coordinates, so the residual is the
-    reduced one and its rung draws the exact n-coordinate marginal of
-    the full measure.  Returns the table and the failing report rows of
-    the rungs that raised.
+    For each grid-solvable n the rung solves the reduced problem that the
+    grid rows check, on make_weight(cfg, n): for max-endpoint the
+    truncation mollified at the config's epsilon, and a separable weight
+    as is.  || lam V - L V - f || is then estimated in L^2 of the full
+    weighted measure at the master truncation; the drift gap makes it
+    shrink as n grows.  For a separable weight the full drift in the
+    first n coordinates reads only those coordinates, so the residual is
+    the reduced one and its rung draws the exact n-coordinate marginal
+    of the full measure.  The table's epsilon is the scale the rung's
+    weight is mollified at, 0 for a separable weight.  Returns the table
+    and the failing report rows of the rungs that raised.
     """
     table, failed = [], []
     for n in [n for n in cfg.dims if n <= 2]:
@@ -592,7 +579,8 @@ def ladder_table(cfg: ExperimentConfig) -> tuple[list, list]:
 
 
 def _ladder_rung(cfg: ExperimentConfig, n: int) -> dict:
-    """One rung of the ladder: the reduced solve at n and its residual.
+    """One rung of the ladder: the reduced solve at n, on the weight
+    make_weight(cfg, n), and its residual.
 
     Max-endpoint draws the cloud in all modes from N(0, I), weights it
     by e^{-U} and reads the full weight's subgradient in the first n
@@ -610,14 +598,14 @@ def _ladder_rung(cfg: ExperimentConfig, n: int) -> dict:
     """
     lam = float(cfg.lambdas[0])
     f = make_test_function("tanh", 1)
-    eps = _ladder_epsilon(n)
+    w = make_weight(cfg, n)
     rng = substream(cfg.seed, NORM_TAG, 4, n)
     lo, hi = -cfg.grid_radius + cfg.grid_mesh, cfg.grid_radius - cfg.grid_mesh
     if cfg.weight == "max-endpoint":
         p = cfg.weight_params
+        eps = p["epsilon"]
         full = wiener.max_endpoint_convex_weight(p["modes"],
                                                  time_points=p["time_points"])
-        w_eps = _mollified_weight(cfg, n, eps)
         logw = np.empty(_LADDER_SAMPLES)
         xi, g_full = np.empty((2, _LADDER_SAMPLES, n))
         for start in range(0, _LADDER_SAMPLES, _BLOCK_ROWS):
@@ -629,15 +617,13 @@ def _ladder_rung(cfg: ExperimentConfig, n: int) -> dict:
             logw[block] = -np.asarray(value, dtype=float)
             xi[block], g_full[block] = xm[:, :n], grad[:, :n]
     else:
-        # mollifying a quadratic adds only a constant (the kernel is
-        # symmetric), which the drift never reads
-        w_eps = make_weight(cfg, n)
+        eps = 0.0       # a separable weight is not mollified
         xi = rng.standard_normal((_LADDER_SAMPLES, n)) / np.sqrt(
-            1.0 + np.asarray(w_eps.linear_grad))
+            1.0 + np.asarray(w.linear_grad))
         np.clip(xi, lo, hi, out=xi)
-        logw, g_full = np.zeros(_LADDER_SAMPLES), w_eps.subgrad(xi)
+        logw, g_full = np.zeros(_LADDER_SAMPLES), w.subgrad(xi)
     spec = grid.GridSpec(dim=n, radius=cfg.grid_radius, mesh=cfg.grid_mesh)
-    [u] = grid.solve_elliptic_grid(w_eps, [f], lam, spec)
+    [u] = grid.solve_elliptic_grid(w, [f], lam, spec)
     val, gv, hv = u.jet(xi)
     resid = (lam * val - (np.trace(hv, axis1=-2, axis2=-1)
                           - ((g_full + xi) * gv).sum(-1))
@@ -743,7 +729,7 @@ def summarize(report: EstimateReport, ladder: list, nslope: list) -> str:
 
 
 def run_experiment(config_path=None, scope: str = "all", seed=None, out=None,
-                   paths=None, quiet: bool = False) -> int:
+                   quiet: bool = False) -> int:
     """Run the configured verification and write report artifacts.
 
     Returns 0 when every report row passes, 1 when any fails, 2 on
@@ -754,9 +740,6 @@ def run_experiment(config_path=None, scope: str = "all", seed=None, out=None,
         cfg = load_config(config_path)
         if seed is not None:
             cfg = dataclasses.replace(cfg, seed=int(seed))
-        if paths is not None:
-            cfg = dataclasses.replace(
-                cfg, mc=dataclasses.replace(cfg.mc, paths=int(paths)))
         if out is not None:
             cfg = dataclasses.replace(cfg, output_dir=str(out))
     except (OSError, ValueError) as e:     # ConfigError is a ValueError

@@ -1,5 +1,6 @@
 """Experiment harness: config parsing, report rows, routes, CLI wiring."""
 
+import argparse
 import ast
 import configparser
 import csv
@@ -124,6 +125,21 @@ def test_readme_config_block_lists_every_key():
     parser.read_string(block)
     assert {name: sorted(parser[name]) for name in parser.sections()} == {
         name: sorted(keys) for name, keys in config._KEYS.items()}
+
+
+def test_readme_flag_table_lists_verify_options():
+    """README's flag table row for verify-estimates and verify-domain
+    names exactly the option strings of each of those subparsers, so a
+    removed or added flag cannot leave it stale."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [row] = [line.split("|")[2] for line in readme.splitlines()
+             if line.startswith("| `verify-estimates`, `verify-domain` |")]
+    [subs] = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    for name in ("verify-estimates", "verify-domain"):
+        options = {opt for action in subs.choices[name]._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+        assert sorted(options) == sorted(re.findall(r"`(--[a-z-]+)", row))
 
 
 def test_config_missing_file():
@@ -750,7 +766,7 @@ def test_cloud_stages_peak_memory():
     1/32.  With whole-cloud arrays the two read 127 and 58 MB."""
     cfg = small_max_endpoint_cfg()
     harness._max_endpoint_table.cache_clear()
-    harness._mollified_weight(cfg, 1)       # the table is not the rung's
+    harness.make_weight(cfg, 1)             # the table is not the rung's
     rung_mb = _traced_peak_mb(lambda: harness._ladder_rung(cfg, 1))
     harness._max_endpoint_table.cache_clear()
     domain_mb = _traced_peak_mb(lambda: harness._domain_rows(
@@ -814,6 +830,7 @@ def test_csv_tables_on_disk(tiny_run):
     assert len(ladder) == 2
     fields = ladder[1].split(",")
     assert fields[0] == "zero" and fields[1] == "1"
+    assert fields[2] == "0"         # a separable weight is not mollified
     assert float(fields[5]) >= 0.0 and math.isfinite(float(fields[5]))
 
 
@@ -849,58 +866,75 @@ def test_seed_override_changes_estimates(tiny_run):
 
 
 def test_each_weight_is_built_once_per_run(tmp_path, monkeypatch):
-    """One max-endpoint table per grid dim serves every smoothing scale:
-    the main and domain stages' eps = 0.25 and the ladder's eps = 1/n.
-    Each scale's mollification is one node table on the grid box, which
-    the main and domain stages share."""
+    """One max-endpoint weight per grid dim, mollified once at the
+    config's eps = 0.25, serves the main and domain stages and the
+    ladder: one raw table on the grid box widened by eps and one mesh,
+    and one node table of the mollification on the grid box.  The
+    ladder's epsilon column is that scale."""
     cfg = tmp_path / "mend.ini"
     cfg.write_text(MEND_INI)
-    calls, nodes = [], []
-    tabulate = galerkin.tabulate_weight
+    calls, nodes, mollified = [], [], []
+    tabulate, mollify = galerkin.tabulate_weight, galerkin.mollify
 
     def counting(inner, radius, mesh, *args, **kwargs):
-        mollified = inner.label.startswith("mollified")
-        (nodes if mollified else calls).append((inner.dim, radius))
+        is_mollified = inner.label.startswith("mollified")
+        (nodes if is_mollified else calls).append((inner.dim, radius))
         return tabulate(inner, radius, mesh, *args, **kwargs)
+
+    def counting_mollify(inner, eps, *args, **kwargs):
+        mollified.append((inner.dim, eps))
+        return mollify(inner, eps, *args, **kwargs)
 
     harness._max_endpoint_table.cache_clear()
     monkeypatch.setattr(galerkin, "tabulate_weight", counting)
+    monkeypatch.setattr(galerkin, "mollify", counting_mollify)
+    out = tmp_path / "run"
     code = harness.run_experiment(config_path=str(cfg), scope="all",
-                                  out=str(tmp_path / "run"), quiet=True)
+                                  out=str(out), quiet=True)
     harness._max_endpoint_table.cache_clear()
     assert code == 0
-    # tabulation radius is grid radius + max(0.25, 1/n) + mesh
-    assert sorted(calls) == [(1, 4.25), (2, 3.75)]
-    # node tables on the grid radius: one per scale (0.25 and 1/n) per dim
-    assert sorted(nodes) == [(1, 3.0)] * 2 + [(2, 3.0)] * 2
+    # tabulation radius is grid radius + 0.25 + mesh
+    assert sorted(calls) == [(1, 3.5), (2, 3.5)]
+    # one node table on the grid radius per dim
+    assert sorted(nodes) == [(1, 3.0), (2, 3.0)]
+    assert sorted(mollified) == [(1, 0.25), (2, 0.25)]
+    with open(out / "tables" / "ladder.csv", newline="") as fh:
+        ladder = list(csv.DictReader(fh))
+    assert [(r["n"], r["epsilon"]) for r in ladder] == [("1", "0.25"),
+                                                        ("2", "0.25")]
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_shared_table_serves_every_scale_identically(n):
-    """The run's mollified max-endpoint weight, read from the one table of
-    dimension n, equals bit for bit the one read from a table widened by
-    its own scale alone, at the config's eps and at the ladder's 1/n;
-    both are served from a node table on the grid box."""
-    radius, mesh = 3.0, 0.25
-    cfg = small_cfg(weight="max-endpoint", dims=(1, 2), grid_radius=radius,
-                    grid_mesh=mesh, weight_params=dict(
-                        modes=16, tail_samples=4, time_points=32,
-                        epsilon=0.25))
-    raw = wiener.max_endpoint_truncated(n, modes=16, samples=4, seed=0,
-                                        time_points=32)
-    nodes = harness.grid.GridSpec(dim=n, radius=radius, mesh=mesh).points()
-    cloud = np.random.default_rng(5).standard_normal((3000, n)) * 2.0
-    np.clip(cloud, -radius + mesh, radius - mesh, out=cloud)
+@pytest.mark.parametrize("weight", ["max-endpoint", "energy"])
+def test_ladder_rung_solves_the_grid_rows_weight(weight, monkeypatch):
+    """The rung at n solves on the very object that make_weight(cfg, n)
+    returns, the reduced problem of the grid rows; for max-endpoint that
+    is the one cached table of the run."""
+    if weight == "max-endpoint":
+        cfg = small_max_endpoint_cfg()
+    else:
+        cfg = small_cfg(weight=weight, dims=(1, 2), lambdas=(0.5,),
+                        grid_radius=5.0, grid_mesh=1 / 8)
+    built, solved = [], []
+    make_weight, solve = harness.make_weight, grid.solve_elliptic_grid
+
+    def recording_make(cfg, n):
+        built.append(make_weight(cfg, n))
+        return built[-1]
+
+    def recording_solve(w, *args, **kwargs):
+        solved.append(w)
+        return solve(w, *args, **kwargs)
+
     harness._max_endpoint_table.cache_clear()
-    for eps in (0.25, 1.0 / n):
-        shared = harness._mollified_weight(cfg, n, eps)
-        own = galerkin.tabulate_weight(galerkin.mollify(
-            galerkin.tabulate_weight(raw, radius + eps + mesh, mesh), eps),
-            radius, mesh)
-        for x in (nodes, cloud):
-            assert np.array_equal(shared.eval(x), own.eval(x))
-            assert np.array_equal(shared.subgrad(x), own.subgrad(x))
-    assert harness._max_endpoint_table.cache_info().misses == 1
+    monkeypatch.setattr(harness, "make_weight", recording_make)
+    monkeypatch.setattr(grid, "solve_elliptic_grid", recording_solve)
+    for n in (1, 2):
+        built.clear()
+        solved.clear()
+        harness._ladder_rung(cfg, n)
+        assert len(built) == len(solved) == 1 and solved[0] is built[0]
+        if weight == "max-endpoint":
+            assert solved[0] is make_weight(cfg, n)
     harness._max_endpoint_table.cache_clear()
 
 
@@ -934,10 +968,10 @@ def test_node_table_matches_mollification(n):
     dimension's table, evaluated once at the grid nodes: bit-identical to
     the mollification computed on the fly at GridSpec.points() (so the
     grid drift does not move), and within c * mesh^2 of it between nodes
-    (cell centres and a clipped cloud), at the config's eps and at the
-    ladder's 1/n.  The on-the-fly reference reads the table through
-    scipy's interpolator.  Measured on this config: at most 0.24 mesh^2
-    in U and 0.72 mesh^2 in grad U."""
+    (cell centres and a clipped cloud), at the config's eps.  The
+    on-the-fly reference reads the table through scipy's interpolator.
+    Measured on this config: at most 0.24 mesh^2 in U and 0.72 mesh^2 in
+    grad U."""
     radius, mesh = 3.0, 0.25
     cfg = small_cfg(weight="max-endpoint", dims=(1, 2), grid_radius=radius,
                     grid_mesh=mesh, weight_params=dict(
@@ -950,18 +984,17 @@ def test_node_table_matches_mollification(n):
     cloud = np.random.default_rng(5).standard_normal((3000, n)) * 2.0
     np.clip(cloud, -radius + mesh, radius - mesh, out=cloud)
     between = np.concatenate([centres, cloud])
-    wide = radius + max(0.25, 1.0 / n) + mesh
+    wide = radius + 0.25 + mesh
     table = galerkin.tabulate_weight(wiener.max_endpoint_truncated(
         n, modes=16, samples=4, seed=0, time_points=32), wide, mesh)
     harness._max_endpoint_table.cache_clear()
-    for eps in (0.25, 1.0 / n):
-        served = harness._mollified_weight(cfg, n, eps)
-        fly = galerkin.mollify(_scipy_served(table, wide, mesh), eps)
-        assert np.array_equal(served.eval(nodes), fly.eval(nodes))
-        assert np.array_equal(served.subgrad(nodes), fly.subgrad(nodes))
-        v, g = served.value_subgrad(between)
-        assert np.max(np.abs(v - fly.eval(between))) <= 0.5 * mesh ** 2
-        assert np.max(np.abs(g - fly.subgrad(between))) <= 2.0 * mesh ** 2
+    served = harness.make_weight(cfg, n)
+    fly = galerkin.mollify(_scipy_served(table, wide, mesh), 0.25)
+    assert np.array_equal(served.eval(nodes), fly.eval(nodes))
+    assert np.array_equal(served.subgrad(nodes), fly.subgrad(nodes))
+    v, g = served.value_subgrad(between)
+    assert np.max(np.abs(v - fly.eval(between))) <= 0.5 * mesh ** 2
+    assert np.max(np.abs(g - fly.subgrad(between))) <= 2.0 * mesh ** 2
     assert harness._max_endpoint_table.cache_info().misses == 1
     harness._max_endpoint_table.cache_clear()
 
@@ -1205,10 +1238,14 @@ def test_cli_domain_scope(tmp_path):
 
 
 def test_cli_rejects_flags_a_subcommand_does_not_read(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["prox", "--config", "x"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    # the verify commands read the path count from [mc] paths alone
+    for argv in (["prox", "--config", "x"],
+                 ["verify-estimates", "--paths", "300"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {' '.join(argv[1:])}"
+                in capsys.readouterr().err)
 
 
 def test_cli_requires_subcommand():
