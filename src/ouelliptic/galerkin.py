@@ -83,8 +83,14 @@ class TruncatedWeight:
         return mean + self.tail_constant, np.sqrt(var / s)
 
     def subgrad_batch(self, xis: np.ndarray) -> np.ndarray:
-        """Tail-averaged subgradients in the retained coordinates, (B, n)."""
+        """Tail-averaged subgradients in the retained coordinates, (B, n).
+
+        A base with linear_grad has retained partials linear_grad_i x_i,
+        which no tail enters, so their average is that product itself.
+        """
         xis = np.asarray(xis, dtype=float)
+        if self.base.linear_grad is not None:
+            return np.asarray(self.base.linear_grad[:self.n]) * xis
         b = xis.shape[0]
         total = np.zeros((b, self.n))
         for lo, hi in self._sample_chunks(b):
@@ -125,8 +131,10 @@ class TruncatedWeight:
             flat = x.reshape(-1, self.n)
             return self.subgrad_batch(flat).reshape(x.shape)
 
+        lin = self.base.linear_grad
         return ConvexWeight(dim=self.n, eval=ev, subgrad=sg,
-                            grad_lip=self.base.grad_lip, label=self.label)
+                            grad_lip=self.base.grad_lip, label=self.label,
+                            linear_grad=None if lin is None else lin[:self.n])
 
 
 def conditional_expectation(base: ConvexWeight, n: int, xi: np.ndarray,

@@ -139,6 +139,55 @@ def max_endpoint_convex_weight(modes: int,
                         label="max-endpoint", eval_subgrad=both)
 
 
+# Points per group whose times are pruned together, and points whose
+# active paths are held at once (rounded down to whole row blocks).
+_PRUNE_GROUP = 64
+_PRUNE_SPAN = 2048
+
+
+def _compact_groups(points: np.ndarray, size: int) -> list[np.ndarray]:
+    """Row indices of `points` in spatially compact groups of at most
+    `size`: each set is halved at the median of its widest coordinate."""
+    groups, stack = [], [np.arange(points.shape[0])]
+    while stack:
+        idx = stack.pop()
+        if idx.size <= size:
+            groups.append(idx)
+            continue
+        sub = points[idx]
+        widest = np.argmax(np.ptp(sub, axis=0))
+        order = idx[np.argsort(sub[:, widest], kind="stable")]
+        stack += [order[:idx.size // 2], order[idx.size // 2:]]
+    return groups
+
+
+def _pruned_argmax(act: np.ndarray, tail_paths: np.ndarray,
+                   groups: list[np.ndarray]) -> np.ndarray:
+    """np.argmax(act[:, None, :] + tail_paths, axis=-1), bit for bit,
+    without forming that (points, tails, times) array.
+
+    Rounding is monotone, so within a group of points the sum at tail s
+    and time t lies between min_p act[p, t] + tail_paths[s, t] and
+    max_p act[p, t] + tail_paths[s, t].  A time whose upper bound is
+    strictly below the tail's best lower bound is strictly below that
+    tail's maximum at every point of the group: it is never the argmax
+    and never ties it.  The argmax runs over the other times in
+    ascending order, so ties keep their first index.
+    """
+    tails = np.arange(tail_paths.shape[0])
+    idx = np.empty((act.shape[0], tails.size), dtype=np.intp)
+    for g in groups:
+        a = act[g]
+        best = (a.min(axis=0) + tail_paths).max(axis=1, keepdims=True)
+        keep = a.max(axis=0) + tail_paths >= best
+        # each tail's kept times first, ascending; the padding after them
+        # is dropped times, which cannot win
+        cand = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(axis=1).max()]
+        j = (a[:, cand] + np.take_along_axis(tail_paths, cand, axis=1)).argmax(axis=-1)
+        idx[g] = cand[tails, j]
+    return idx
+
+
 def max_endpoint_truncated(n: int, modes: int = 256, samples: int = 64,
                            seed: int = 0,
                            time_points: int = DEFAULT_TIME_POINTS) -> ConvexWeight:
@@ -147,11 +196,12 @@ def max_endpoint_truncated(n: int, modes: int = 256, samples: int = 64,
     The coordinates beyond the first n are frozen at `samples` Gaussian
     draws (the same draws galerkin.TruncatedWeight would use for this
     seed) and their path contributions are precomputed once, so each
-    evaluation costs one small matmul plus a broadcast argmax instead of
-    a full reconstruction in `modes` dimensions.  The value and the
-    subgradient come from the same pass (the joint oracle eval_subgrad;
-    eval and subgrad each return one half of it).  Averaging over tails
-    preserves convexity in the retained coordinates.
+    evaluation costs one small matmul plus, per tail, an argmax over the
+    times that can still hold the maximum (`_pruned_argmax`, exact)
+    instead of a full reconstruction in `modes` dimensions.  The value
+    and the subgradient come from the same pass (the joint oracle
+    eval_subgrad; eval and subgrad each return one half of it).
+    Averaging over tails preserves convexity in the retained coordinates.
     """
     if not 0 < n < modes:
         raise ValueError("need 0 < n < modes")
@@ -162,20 +212,28 @@ def max_endpoint_truncated(n: int, modes: int = 256, samples: int = 64,
     tails = substream(seed, TAIL_TAG, n, modes).standard_normal((samples, modes - n))
     tail_paths = tails @ h_tail           # (samples, T)
     h_end = h_act[:, -1]
+    # the active paths are formed in blocks of `chunk` rows whatever the
+    # span: a BLAS may round a row differently in a block of another size
     chunk = max(1, 4_000_000 // (samples * (time_points + 1)))
+    span = chunk * max(1, _PRUNE_SPAN // chunk)
+    tail_ids = np.arange(samples)
 
     def both(x):
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1, n)
         val = np.empty(flat.shape[0])
         grad = np.empty_like(flat)
-        for lo in range(0, flat.shape[0], chunk):
-            act = flat[lo:lo + chunk] @ h_act            # (b, T)
-            full = act[:, None, :] + tail_paths[None]    # (b, S, T)
-            idx = np.argmax(full, axis=-1)               # (b, S)
-            top = np.take_along_axis(full, idx[..., None], axis=-1)[..., 0]
-            val[lo:lo + chunk] = (top + full[:, :, -1]).mean(axis=-1)
-            grad[lo:lo + chunk] = h_act.T[idx].mean(axis=1) + h_end
+        for lo in range(0, flat.shape[0], span):
+            pts = flat[lo:lo + span]
+            act = np.empty((pts.shape[0], time_points + 1))        # (b, T)
+            for k in range(0, pts.shape[0], chunk):
+                act[k:k + chunk] = pts[k:k + chunk] @ h_act
+            idx = _pruned_argmax(act, tail_paths,                    # (b, S)
+                                 _compact_groups(pts, _PRUNE_GROUP))
+            top = np.take_along_axis(act, idx, axis=1) + tail_paths[tail_ids, idx]
+            end = act[:, -1:] + tail_paths[:, -1]
+            val[lo:lo + span] = (top + end).mean(axis=-1)
+            grad[lo:lo + span] = h_act.T[idx].mean(axis=1) + h_end
         return val.reshape(x.shape[:-1]), grad.reshape(x.shape)
 
     return ConvexWeight(dim=n, eval=lambda x: both(x)[0],

@@ -1,4 +1,6 @@
 """Dimension truncation, mollification and the perturbation identity."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,27 @@ def test_truncation_preserves_lipschitz():
     num = np.linalg.norm(tw.subgrad_batch(x) - tw.subgrad_batch(y), axis=1)
     den = np.linalg.norm(x - y, axis=1)
     assert np.max(num / den) <= base.grad_lip * 1.02
+
+
+def test_linear_grad_base_subgrad_is_exact():
+    """For a base with linear_grad the tail average of the retained
+    partials is linear_grad_i x_i itself, and the reduced weight declares
+    the retained part of linear_grad."""
+    base = wiener.energy_convex_weight(16)
+    tw = galerkin.TruncatedWeight(base, 3, samples=200, seed=5)
+    x = np.random.default_rng(8).standard_normal((400, 3)) * 2.0
+    g = tw.subgrad_batch(x)
+    assert np.array_equal(g, np.array(base.linear_grad[:3]) * x)
+    generic = galerkin.TruncatedWeight(
+        dataclasses.replace(base, linear_grad=None), 3, samples=200, seed=5)
+    np.testing.assert_allclose(generic.subgrad_batch(x), g,
+                               rtol=1e-13, atol=1e-16)
+    w = tw.as_convex_weight()
+    assert w.linear_grad == base.linear_grad[:3]
+    assert np.array_equal(w.subgrad(x.reshape(4, 100, 3)), g.reshape(4, 100, 3))
+    assert galerkin.TruncatedWeight(
+        wiener.max_endpoint_convex_weight(16), 2, samples=8
+    ).as_convex_weight().linear_grad is None
 
 
 def test_truncation_preserves_convexity():

@@ -1,11 +1,14 @@
 """Sine-basis calculus on path space: norms, sampling, the two example
 weights, weighted divergence and integration by parts."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from ouelliptic import galerkin, wiener
 from ouelliptic.cylinder import constant, coordinate, cos_linear
+from ouelliptic.grid import tensor_nodes
 from ouelliptic.rng import TAIL_TAG, substream
 from ouelliptic.weights import zero_weight
 
@@ -237,8 +240,12 @@ def test_max_endpoint_truncated_validation():
 @pytest.mark.parametrize("n", [1, 2])
 def test_truncated_max_endpoint_joint_oracle(n):
     """One pass gives the bits of eval and of subgrad, at any leading
-    shape; its value (the maximum read at the argmax) equals the running
-    maximum taken by np.max over the same paths, bit for bit."""
+    shape.  Both equal the brute-force (points, tails, times) broadcast
+    bit for bit: the value is its running maximum (np.max) plus the
+    endpoint, and the subgradient h(argmax) + h(1), averaged over tails.
+    Checked on random points, on tensor-grid nodes (compact groups,
+    where the time pruning drops most times) and on those nodes
+    shuffled."""
     modes, samples, seed, times = 16, 8, 1, 64
     w = wiener.max_endpoint_truncated(n, modes=modes, samples=samples,
                                       seed=seed, time_points=times)
@@ -254,9 +261,46 @@ def test_truncated_max_endpoint_joint_oracle(n):
     hmat = wiener.WienerBasis(modes).h(np.linspace(0.0, 1.0, times + 1))
     tails = substream(seed, TAIL_TAG, n, modes).standard_normal(
         (samples, modes - n))
-    full = (x @ hmat[:n])[:, None, :] + (tails @ hmat[n:])[None]
-    assert np.array_equal(v.ravel(),
-                          (np.max(full, -1) + full[:, :, -1]).mean(-1))
+    nodes = tensor_nodes(np.linspace(-4.0, 4.0, 81 if n == 2 else 3001), n)
+    shuffled = nodes[np.random.default_rng(5).permutation(nodes.shape[0])]
+    for pts in (x, nodes, shuffled):
+        v, g = w.value_subgrad(pts)
+        full = (pts @ hmat[:n])[:, None, :] + (tails @ hmat[n:])[None]
+        assert np.array_equal(v, (np.max(full, -1) + full[:, :, -1]).mean(-1))
+        top = hmat[:n].T[np.argmax(full, axis=-1)]
+        assert np.array_equal(g, top.mean(axis=1) + hmat[:n, -1])
+
+
+def test_pruned_argmax_keeps_first_of_tied_maxima():
+    """Where several times reach the same maximum, the pruned argmax
+    returns the first of them, as np.argmax does."""
+    rng = np.random.default_rng(6)
+    pts = rng.standard_normal((60, 2))
+    act = pts @ wiener.WienerBasis(2).h(np.linspace(0.0, 1.0, 21))
+    tail_paths = rng.standard_normal((5, 21))
+    act[:, 11] = act[:, 20] = act[:, 4]
+    tail_paths[:, 11] = tail_paths[:, 20] = tail_paths[:, 4] = 10.0
+    want = np.argmax(act[:, None, :] + tail_paths, axis=-1)
+    assert np.all(want == 4)
+    for groups in ([np.arange(60)], wiener._compact_groups(pts, 8)):
+        got = wiener._pruned_argmax(act, tail_paths, groups)
+        assert np.array_equal(got, want)
+
+
+def test_truncated_max_endpoint_table_memory():
+    """The n = 2 table at the max-endpoint workload's size (41,209 nodes,
+    32 tails, 129 times) builds within 20 MB of traced allocations: no
+    (points, tails, times) array is formed."""
+    tracemalloc.start()
+    try:
+        galerkin.tabulate_weight(
+            wiener.max_endpoint_truncated(2, modes=256, samples=32,
+                                          time_points=128),
+            6.3125, 1.0 / 16.0)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak < 20.0
 
 
 def test_max_endpoint_joint_oracle():
